@@ -193,7 +193,7 @@ def _check_combine_scalars(seed: int) -> GradCheckReport:
     rng = np.random.default_rng(seed)
     a = _rand_t(rng, (1, 2, 3, 3))
     b = _rand_t(rng, (1, 2, 3, 3))
-    func = lambda: ops.combine_scalars([(1.0, ops.sum_all(a)), (0.1, ops.sum_all(b))])
+    func = lambda: ops.combine_scalars([(1.0, ops.weighted_sum(a)), (0.1, ops.weighted_sum(b))])
     return finite_diff_check(func, [("a", a), ("b", b)], rng=rng, name="combine_scalars")
 
 

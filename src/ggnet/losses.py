@@ -297,41 +297,26 @@ def matching_loss(offset_map: Tensor, annos_per_image, stride: int,
             px, py = _splat_pixel(a.interaction_point(stride), h, w)
             hx, hy = box_center(a.human_box)
             ox, oy = box_center(a.object_box)
-            rows.append((bi, grp, py, px))
+            rows.append((bi, 4 * grp, py, px))
             targets.append((px - hx / stride, py - hy / stride,
                             px - ox / stride, py - oy / stride))
+    return _sparse_l1(offset_map, rows, targets)
+
+
+def _sparse_l1(pred: Tensor, rows, targets) -> Tensor:
+    """L1 at sparse pixels, averaged over rows.
+
+    Each row is (batch, first_channel, y, x) and scores the channels
+    first_channel .. first_channel + C - 1 against its (C,) target. Rows may
+    repeat a pixel; the backward pass accumulates every repeat.
+    """
     count = len(rows)
     if count == 0:
         return Tensor((1, 1, 1, 1), [0.0])
     tgt = np.asarray(targets, np.float64)
-    preds = np.stack([offset_map.data[bi, 4 * g:4 * g + 4, py, px]
-                      for bi, g, py, px in rows]).astype(np.float64)
-    diff = preds - tgt
-    out = Tensor((1, 1, 1, 1), [np.abs(diff).sum() / count])
-    out.exact = float(np.abs(diff).sum() / count)
-
-    t = active_tape()
-    if t is not None:
-        def backward():
-            if out.grad is None or not offset_map.requires_grad:
-                return
-            g = float(out.grad.reshape(-1)[0])
-            s = np.sign(diff) * (g / count)
-            offset_map.ensure_grad()
-            for (bi, grp, py, px), row in zip(rows, s):
-                offset_map.grad[bi, 4 * grp:4 * grp + 4, py, px] += row.astype(np.float32)
-        t.record(backward)
-    return out
-
-
-def _masked_l1(pred: Tensor, rows, targets) -> Tensor:
-    """L1 at sparse pixels: rows are (batch, y, x), targets (K, C) per row."""
-    count = len(rows)
-    if count == 0:
-        return Tensor((1, 1, 1, 1), [0.0])
-    tgt = np.asarray(targets, np.float64)
-    sel = np.stack([pred.data[bi, :, y, x] for bi, y, x in rows]).astype(np.float64)
-    diff = sel - tgt
+    bi, ch, y, x = np.asarray(rows, np.int64).T[:, :, None]
+    at = (bi, ch + np.arange(tgt.shape[1]), y, x)
+    diff = pred.data[at].astype(np.float64) - tgt
     out = Tensor((1, 1, 1, 1), [np.abs(diff).sum() / count])
     out.exact = float(np.abs(diff).sum() / count)
 
@@ -342,9 +327,7 @@ def _masked_l1(pred: Tensor, rows, targets) -> Tensor:
                 return
             g = float(out.grad.reshape(-1)[0])
             s = np.sign(diff) * (g / count)
-            pred.ensure_grad()
-            for (bi, y, x), row in zip(rows, s):
-                pred.grad[bi, :, y, x] += row.astype(np.float32)
+            np.add.at(pred.ensure_grad(), at, s.astype(np.float32))
         t.record(backward)
     return out
 
@@ -388,13 +371,13 @@ def detection_losses(det_center: Tensor, det_wh: Tensor, det_reg: Tensor,
             bh = (box[3] - box[1]) / stride
             radius = gaussian_radius(bw, bh, min_overlap)
             splat_gaussian(heat[bi], (px, py), radius, +1, channel)
-            rows.append((bi, py, px))
+            rows.append((bi, 0, py, px))
             wh_targets.append((bw, bh))
             reg_targets.append((cx - px, cy - py))
     loss_h = centernet_focal(slice_channels(det_center, 0, 1), heat[:, 0:1], n_human)
     loss_o = centernet_focal(slice_channels(det_center, 1, ch), heat[:, 1:], n_object)
-    loss_wh = _masked_l1(det_wh, rows, wh_targets)
-    loss_reg = _masked_l1(det_reg, rows, reg_targets)
+    loss_wh = _sparse_l1(det_wh, rows, wh_targets)
+    loss_reg = _sparse_l1(det_reg, rows, reg_targets)
     total = combine_scalars([(1.0, loss_h), (1.0, loss_o),
                              (lambda_wh, loss_wh), (1.0, loss_reg)])
     parts = {"det_center_h": loss_h.item(), "det_center_o": loss_o.item(),

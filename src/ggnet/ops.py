@@ -9,6 +9,8 @@ buffers. ``maxpool_nms`` and ``topk`` are inference-only and record nothing.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -244,10 +246,6 @@ def weighted_sum(x: Tensor, weights: np.ndarray | None = None) -> Tensor:
     return out
 
 
-def sum_all(x: Tensor) -> Tensor:
-    return weighted_sum(x)
-
-
 def combine_scalars(terms: list[tuple[float, Tensor]]) -> Tensor:
     """Weighted sum of scalar tensors: sum(coef_i * term_i)."""
     total = 0.0
@@ -272,60 +270,88 @@ def combine_scalars(terms: list[tuple[float, Tensor]]) -> Tensor:
 
 # ===== Bilinear sampling =====
 
-def bilinear_sample(featmap: Tensor, x: float, y: float, channel: int, batch: int = 0) -> float:
-    """Bilinear read of one channel at continuous (x, y); zero outside the map."""
-    _, _, h, w = featmap.shape
-    plane = featmap.data[batch, channel]
-    x0 = int(np.ceil(x)) - 1
-    y0 = int(np.ceil(y)) - 1
-    fx = float(x) - x0
-    fy = float(y) - y0
-    val = 0.0
-    for dy, dx, wt in ((0, 0, (1 - fy) * (1 - fx)), (0, 1, (1 - fy) * fx),
-                       (1, 0, fy * (1 - fx)), (1, 1, fy * fx)):
-        yi, xi = y0 + dy, x0 + dx
-        if 0 <= yi < h and 0 <= xi < w:
-            val += wt * float(plane[yi, xi])
-    return val
+class _Sampling(NamedTuple):
+    """Bilinear sampling record for coords (B, ...) on an H x W map; no channel
+    axis. Per corner (00, 01, 10, 11 as dy, dx): flat pixel index (0 where
+    invalid), validity mask and bilinear weight; then the in-cell fractions."""
+
+    index: tuple
+    valid: tuple
+    weight: tuple
+    fx: np.ndarray
+    fy: np.ndarray
 
 
-def _sample_corners(data: np.ndarray, xs: np.ndarray, ys: np.ndarray):
-    """Gather the 4 bilinear corners for coords (B, n, P) against (B, C, H, W).
+def _sampling(xs: np.ndarray, ys: np.ndarray, h: int, w: int) -> _Sampling:
+    """Record for float64 coords (B, ...) against an h x w map.
 
     The cell is chosen as ceil(coord)-1: identical to floor off the integer
-    grid, and yields the left-cell subgradient exactly on it. Returns the
-    interpolated values (B, C, n, P) float64 plus the pieces the gradients
-    need: per-corner values, in-cell fractions, corner indices and validity.
+    grid, and yields the left-cell subgradient exactly on it.
     """
-    b, c, h, w = data.shape
     x0 = np.ceil(xs) - 1.0
     y0 = np.ceil(ys) - 1.0
     fx = xs - x0
     fy = ys - y0
     x0i = x0.astype(np.int64)
     y0i = y0.astype(np.int64)
-    flat = data.reshape(b, c, h * w)
-    corners = []
-    valids = []
+    index = []
+    valid = []
     for dy in (0, 1):
         for dx in (0, 1):
             xi = x0i + dx
             yi = y0i + dy
-            valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-            idx = np.where(valid, yi * w + xi, 0).reshape(b, -1)
-            v = np.take_along_axis(flat, idx[:, None, :], axis=2)
-            v = v.reshape(b, c, *xs.shape[1:]).astype(np.float64)
-            v *= valid[:, None]
-            corners.append(v)
-            valids.append(valid)
-    v00, v01, v10, v11 = corners
-    w00 = (1 - fy) * (1 - fx)
-    w01 = (1 - fy) * fx
-    w10 = fy * (1 - fx)
-    w11 = fy * fx
-    vals = (w00[:, None] * v00 + w01[:, None] * v01
-            + w10[:, None] * v10 + w11[:, None] * v11)
-    return vals, (corners, valids, (w00, w01, w10, w11), fx, fy, x0i, y0i)
+            ok = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
+            index.append(np.where(ok, yi * w + xi, 0))
+            valid.append(ok)
+    weight = ((1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx)
+    return _Sampling(tuple(index), tuple(valid), weight, fx, fy)
+
+
+def _corners(data: np.ndarray, rec: _Sampling):
+    """Yield the four corner reads of (B, C, H, W) data one at a time:
+    (B, C, ...) float64, zero where invalid."""
+    b, c = data.shape[:2]
+    flat = data.reshape(b, c, -1)
+    for idx, ok in zip(rec.index, rec.valid):
+        v = np.take_along_axis(flat, idx.reshape(b, 1, -1), axis=2)
+        v = v.reshape(b, c, *idx.shape[1:]).astype(np.float64)
+        v *= ok[:, None]
+        yield v
+
+
+def _interpolate(rec: _Sampling, corners) -> np.ndarray:
+    """Bilinear values (B, C, ...) float64: weighted corners added in corner order."""
+    terms = (wt[:, None] * v for wt, v in zip(rec.weight, corners))
+    vals = next(terms)
+    for term in terms:
+        vals += term
+    return vals
+
+
+def _scatter(rec: _Sampling, grad: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Adjoint of the bilinear read: grads (B, C, ...) onto a (B, C, h, w) float64 map.
+
+    One bincount over bins ordered (corner, batch, channel, pixel): each pixel
+    sums corner by corner, then in sample order.
+    """
+    b, c = grad.shape[:2]
+    plane = (np.arange(b * c, dtype=np.int64) * (h * w)).reshape(b, c, 1)
+    idx = np.empty((4, b, c, grad[0, 0].size), np.int64)
+    contrib = np.empty((4,) + grad.shape, np.float64)
+    for i in range(4):
+        np.add(rec.index[i].reshape(b, 1, -1), plane, out=idx[i])
+        np.multiply(grad, (rec.weight[i] * rec.valid[i])[:, None], out=contrib[i])
+    flat = np.bincount(idx.reshape(-1), weights=contrib.reshape(-1), minlength=b * c * h * w)
+    return flat.reshape(b, c, h, w)
+
+
+def bilinear_sample(featmap: Tensor, x: float, y: float, channel: int, batch: int = 0) -> float:
+    """Bilinear read of one channel at continuous (x, y); zero outside the map.
+    A one-point call of the sampler that ``deform_aggregate`` runs."""
+    _, _, h, w = featmap.shape
+    rec = _sampling(np.full((1, 1), x, np.float64), np.full((1, 1), y, np.float64), h, w)
+    plane = featmap.data[batch, channel][None, None]
+    return float(_interpolate(rec, _corners(plane, rec))[0, 0, 0])
 
 
 def _tap_grid(k: int, stride: int, padding: int, ho: int, wo: int):
@@ -368,17 +394,12 @@ def deform_aggregate(featmap: Tensor, offsets: Tensor, weights: Tensor,
             f"offset/weight fields {offsets.shape} / {weights.shape} do not match "
             f"(batch {b}, taps {n}, out {ho}x{wo})")
     p = ho * wo
-
-    def sample_positions():
-        gx, gy = _tap_grid(k, stride, pad, ho, wo)
-        xs = (gx[None] + offsets.data[:, 0::2].astype(np.float64)).reshape(b, n, p)
-        ys = (gy[None] + offsets.data[:, 1::2].astype(np.float64)).reshape(b, n, p)
-        return xs, ys
-
-    xs, ys = sample_positions()
-    vals, _ = _sample_corners(featmap.data, xs, ys)
+    gx, gy = _tap_grid(k, stride, pad, ho, wo)
+    xs = (gx[None] + offsets.data[:, 0::2].astype(np.float64)).reshape(b, n, p)
+    ys = (gy[None] + offsets.data[:, 1::2].astype(np.float64)).reshape(b, n, p)
+    rec = _sampling(xs, ys, h, w)
     mw = weights.data.astype(np.float64).reshape(b, 1, n, p)
-    patches = (vals * mw).reshape(b, c * n, p)
+    patches = (_interpolate(rec, _corners(featmap.data, rec)) * mw).reshape(b, c * n, p)
     out64 = _contract(patches, params)
     out = Tensor.from_array(out64.reshape(b, params.out_channels, ho, wo).astype(np.float32))
 
@@ -388,46 +409,24 @@ def deform_aggregate(featmap: Tensor, offsets: Tensor, weights: Tensor,
             if out.grad is None:
                 return
             go = out.grad.reshape(b, params.out_channels, p).astype(np.float64)
-            xs2, ys2 = sample_positions()
-            vals2, (corners, valids, cw, fx, fy, x0i, y0i) = _sample_corners(featmap.data, xs2, ys2)
-            mw2 = weights.data.astype(np.float64).reshape(b, 1, n, p)
+            corners = list(_corners(featmap.data, rec))
+            vals = _interpolate(rec, corners)
             if params.bias.requires_grad:
                 params.bias.add_grad(go.sum(axis=(0, 2)).reshape(1, -1, 1, 1))
             if params.weight.requires_grad:
-                patches2 = (vals2 * mw2).reshape(b, c * n, p)
-                gw = np.einsum("bon,bkn->ok", go, patches2, optimize=True)
+                gw = np.einsum("bon,bkn->ok", go, (vals * mw).reshape(b, c * n, p), optimize=True)
                 params.weight.add_grad(gw.reshape(params.weight.shape))
             wt = params.weight.data.reshape(params.out_channels, -1).astype(np.float64)
             gpatch = np.matmul(wt.T[None], go).reshape(b, c, n, p)
             if weights.requires_grad:
-                gm = (gpatch * vals2).sum(axis=1)
-                weights.add_grad(gm.reshape(b, n, ho, wo))
-            gs = gpatch * mw2  # grad w.r.t. each sampled value
+                weights.add_grad((gpatch * vals).sum(axis=1).reshape(b, n, ho, wo))
+            gs = gpatch * mw  # grad w.r.t. each sampled value
+            del vals, gpatch  # channel-sized: free them before the scatter
             if featmap.requires_grad:
-                # Scatter each corner's weighted grad; bincount per channel is
-                # far faster than ufunc.at here.
-                gflat = np.zeros((b, c, h * w), dtype=np.float64)
-                base = (np.arange(b, dtype=np.int64) * (h * w))[:, None, None]
-                idx_parts = []
-                contrib_parts = []
-                for ci in range(4):
-                    dy, dx = divmod(ci, 2)
-                    xi = x0i + dx
-                    yi = y0i + dy
-                    wz = cw[ci] * valids[ci]
-                    contrib = gs * wz[:, None]  # (b, c, n, p)
-                    idx = (np.where(valids[ci], yi * w + xi, 0) + base).reshape(-1)
-                    idx_parts.append(idx)
-                    contrib_parts.append(contrib.transpose(0, 2, 3, 1).reshape(-1, c))
-                all_idx = np.concatenate(idx_parts)
-                all_contrib = np.concatenate(contrib_parts, axis=0)
-                for ch in range(c):
-                    bc = np.bincount(all_idx, weights=all_contrib[:, ch],
-                                     minlength=b * h * w)
-                    gflat[:, ch] += bc.reshape(b, h * w)
-                featmap.add_grad(gflat.reshape(b, c, h, w))
+                featmap.add_grad(_scatter(rec, gs, h, w))
             if offsets.requires_grad:
                 v00, v01, v10, v11 = corners
+                fx, fy = rec.fx, rec.fy
                 dvdx = (1 - fy)[:, None] * (v01 - v00) + fy[:, None] * (v11 - v10)
                 dvdy = (1 - fx)[:, None] * (v10 - v00) + fx[:, None] * (v11 - v01)
                 gx = (gs * dvdx).sum(axis=1).reshape(b, n, ho, wo)

@@ -39,7 +39,7 @@ def test_check_battery_covers_all_differentiable_ops():
 def test_finite_diff_check_raises_on_nonfinite_forward():
     x = Tensor((1, 1, 1, 1), [float("nan")])
     with pytest.raises(GradCheckError, match="non-finite"):
-        finite_diff_check(lambda: ops.sum_all(x), [("x", x)], name="nan_case")
+        finite_diff_check(lambda: ops.weighted_sum(x), [("x", x)], name="nan_case")
 
 
 def test_finite_diff_check_flags_wrong_backward():

@@ -337,17 +337,22 @@ def test_matching_loss_group_routing_and_validation():
 
 def test_matching_loss_backward_is_signed_and_sparse():
     a = HoiAnnotation((4, 4, 12, 12), (16, 8, 24, 16), 0, 0)
-    pred = Tensor.from_array(np.zeros((1, 4, 8, 8), np.float32))
-    with tape() as tp:
-        loss = matching_loss(pred, [[a]], stride=4)
-        tp.backward(loss)
-    g = pred.grad
+    grads = []
+    for annos in ([[a]], [[a, a]]):
+        pred = Tensor.from_array(np.zeros((1, 4, 8, 8), np.float32))
+        with tape() as tp:
+            loss = matching_loss(pred, annos, stride=4)
+            tp.backward(loss)
+        grads.append(pred.grad)
+    g = grads[0]
     # targets (1, 0, -2, -1); predictions 0 → sign(pred - target), which is
     # zero at the exactly-hit dy target
     assert np.count_nonzero(g) == 3
     assert g[0, 0, 2, 3] == pytest.approx(-1.0)
     assert g[0, 1, 2, 3] == 0.0
     assert g[0, 2, 2, 3] == pytest.approx(1.0)
+    # [a, a] hits one pixel twice: both half gradients must land
+    assert np.array_equal(grads[1], g)
 
 
 # ===== detection losses =====

@@ -75,7 +75,7 @@ def test_conv2d_backward_accumulates_bias_and_weight():
     x = _t(rng, (1, 1, 4, 4))
     p = ops.ConvParams(_t(rng, (1, 1, 3, 3)), [0.0], padding=1)
     with tape() as tp:
-        out = ops.sum_all(ops.conv2d(x, p))
+        out = ops.weighted_sum(ops.conv2d(x, p))
         tp.backward(out)
     # d(sum)/d(bias) counts every output pixel
     assert p.bias.grad.reshape(-1)[0] == pytest.approx(16.0)
@@ -90,7 +90,7 @@ def test_relu_values_and_grad():
     x = Tensor((1, 1, 1, 4), [-2.0, -0.5, 0.0, 3.0])
     with tape() as tp:
         y = ops.relu(x)
-        tp.backward(ops.sum_all(y))
+        tp.backward(ops.weighted_sum(y))
     assert y.data.reshape(-1).tolist() == [0.0, 0.0, 0.0, 3.0]
     assert x.grad.reshape(-1).tolist() == [0.0, 0.0, 0.0, 1.0]
 
@@ -145,7 +145,7 @@ def test_weighted_sum_and_combine_scalars_track_exact():
     s = ops.weighted_sum(x, np.array([2.0, 4.0]).reshape(1, 1, 1, 2))
     assert s.item() == pytest.approx(13.0)
     assert s.exact == 13.0
-    tot = ops.combine_scalars([(1.0, s), (0.5, ops.sum_all(x))])
+    tot = ops.combine_scalars([(1.0, s), (0.5, ops.weighted_sum(x))])
     assert tot.scalar() == pytest.approx(15.0)
     with pytest.raises(ShapeError):
         ops.combine_scalars([(1.0, x)])
@@ -204,10 +204,23 @@ def _deform_case(rng, b=1, c=2, h=6, w=6, cout=2, k=3, stride=1, pad=1):
     return fm, off, wts, p
 
 
-@pytest.mark.parametrize("seed,stride", [(0, 1), (1, 1), (2, 2)])
-def test_deform_aggregate_matches_oracle(seed, stride):
+@pytest.mark.parametrize("seed,stride,field", [
+    pytest.param(0, 1, "uniform", id="0-1"),
+    pytest.param(1, 1, "uniform", id="1-1"),
+    pytest.param(2, 2, "uniform", id="2-2"),
+    pytest.param(3, 1, "grid", id="grid-3-1"),
+    pytest.param(4, 2, "grid", id="grid-4-2"),
+    pytest.param(5, 1, "off_map", id="off_map-5-1"),
+])
+def test_deform_aggregate_matches_oracle(seed, stride, field):
     rng = np.random.default_rng(seed)
     fm, off, wts, p = _deform_case(rng, stride=stride, h=7, w=7)
+    if field == "grid":
+        # integer offsets put every tap exactly on grid lines (ceil-1 cell rule)
+        off.data = np.round(off.data)
+    elif field == "off_map":
+        # all four corners of every tap fall outside the 7x7 map
+        off.data = off.data + np.where(off.data < 0, -20.0, 20.0).astype(np.float32)
     got = ops.deform_aggregate(fm, off, wts, p)
     want = deform_aggregate_ref(fm.data, off.data, wts.data, p.weight.data,
                                 p.bias.data.reshape(-1), stride=stride, padding=1)
@@ -225,6 +238,17 @@ def test_deform_aggregate_zero_offsets_unit_weights_is_conv2d():
     agg = ops.deform_aggregate(fm, off, wts, p)
     conv = ops.conv2d(fm, p)
     assert np.array_equal(agg.data, conv.data)  # bitwise
+    # the backward pass degenerates too: featmap, kernel and bias grads match bitwise
+    proj = rng.uniform(-1, 1, conv.shape)
+    grads = []
+    for op in (lambda: ops.deform_aggregate(fm, off, wts, p), lambda: ops.conv2d(fm, p)):
+        for t in (fm, p.weight, p.bias):
+            t.zero_grad()
+        with tape() as tp:
+            tp.backward(ops.weighted_sum(op(), proj))
+        grads.append([t.grad.copy() for t in (fm, p.weight, p.bias)])
+    for got, want in zip(*grads):
+        assert np.array_equal(got, want)
 
 
 def test_deform_aggregate_validates_field_shapes():
