@@ -79,13 +79,13 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, padding: int, ho: int, wo: int) -> np.ndarray:
-    """Unfold (B, C, H, W) into patch rows (B, C*k*k, ho*wo), float32 copy."""
+    """Unfold (B, C, H, W) into float64 patch rows (B, C*k*k, ho*wo) with one copy."""
     b, c = x.shape[:2]
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     s0, s1, s2, s3 = x.strides
     win = as_strided(x, (b, c, k, k, ho, wo), (s0, s1, s2, s3, s2 * stride, s3 * stride))
-    return win.reshape(b, c * k * k, ho * wo)
+    return win.astype(np.float64, order="C").reshape(b, c * k * k, ho * wo)
 
 
 def _col2im(gcol: np.ndarray, b, c, h, w, k, stride, padding, ho, wo) -> np.ndarray:
@@ -123,7 +123,7 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     wo = conv_output_size(w, k, stride, pad)
     if ho < 1 or wo < 1:
         raise ConfigError(f"conv output would be {ho}x{wo} for input {h}x{w}")
-    patches = _im2col(x.data, k, stride, pad, ho, wo).astype(np.float64)
+    patches = _im2col(x.data, k, stride, pad, ho, wo)
     out64 = _contract(patches, params)
     out = Tensor.from_array(out64.reshape(b, params.out_channels, ho, wo).astype(np.float32))
 
@@ -136,7 +136,7 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
             if params.bias.requires_grad:
                 params.bias.add_grad(go.sum(axis=(0, 2)).reshape(1, -1, 1, 1))
             if params.weight.requires_grad:
-                p64 = _im2col(x.data, k, stride, pad, ho, wo).astype(np.float64)
+                p64 = _im2col(x.data, k, stride, pad, ho, wo)
                 gw = np.einsum("bon,bkn->ok", go, p64, optimize=True)
                 params.weight.add_grad(gw.reshape(params.weight.shape))
             if x.requires_grad:
@@ -308,12 +308,14 @@ def _sampling(xs: np.ndarray, ys: np.ndarray, h: int, w: int) -> _Sampling:
 
 
 def _corners(data: np.ndarray, rec: _Sampling):
-    """Yield the four corner reads of (B, C, H, W) data one at a time:
-    (B, C, ...) float64, zero where invalid."""
-    b, c = data.shape[:2]
-    flat = data.reshape(b, c, -1)
+    """Yield the four corner reads of contiguous (B, C, H, W) data one at a time:
+    (B, C, ...) float64 from one flat ``np.take`` at index + (batch*C + channel)*H*W;
+    an invalid corner reads pixel 0 of its plane times False (zero, that sign)."""
+    b, c, h, w = data.shape
+    flat = data.reshape(-1)
+    plane = (np.arange(b * c, dtype=np.int64) * (h * w)).reshape(b, c, 1)
     for idx, ok in zip(rec.index, rec.valid):
-        v = np.take_along_axis(flat, idx.reshape(b, 1, -1), axis=2)
+        v = np.take(flat, idx.reshape(b, 1, -1) + plane)
         v = v.reshape(b, c, *idx.shape[1:]).astype(np.float64)
         v *= ok[:, None]
         yield v
@@ -372,8 +374,11 @@ def deform_aggregate(featmap: Tensor, offsets: Tensor, weights: Tensor,
     For each output pixel and each of the n = k*k taps, sample ``featmap``
     bilinearly at (regular grid position + per-pixel offset), scale by the
     tap's per-pixel weight, then contract with the kernel exactly like conv2d.
-    Offsets channel layout: [2t] = tap t's x offset, [2t+1] = its y offset,
-    taps in row-major kernel order.
+    Corners outside the map read zero. Offsets channel layout: [2t] = tap t's
+    x offset, [2t+1] = its y offset, taps in row-major kernel order. The
+    backward pass re-gathers the corners through the kept sampling record;
+    the tap-weight and offset grads, linear in the corner reads v_i, come
+    from the four channel sums a_i = sum_c gpatch * v_i.
     """
     _count("deform_aggregate")
     b, c, h, w = featmap.shape
@@ -409,31 +414,37 @@ def deform_aggregate(featmap: Tensor, offsets: Tensor, weights: Tensor,
             if out.grad is None:
                 return
             go = out.grad.reshape(b, params.out_channels, p).astype(np.float64)
-            corners = list(_corners(featmap.data, rec))
-            vals = _interpolate(rec, corners)
+            wt = params.weight.data.reshape(params.out_channels, -1).astype(np.float64)
+            gpatch = np.matmul(wt.T[None], go).reshape(b, c, n, p)
+            a = []  # per corner: sum over channels of gpatch * corner read, (b, n, p)
+
+            def recorded(corners):
+                for v in corners:
+                    a.append(np.einsum("bcnp,bcnp->bnp", gpatch, v))
+                    yield v
+
+            vals = _interpolate(rec, recorded(_corners(featmap.data, rec)))
             if params.bias.requires_grad:
                 params.bias.add_grad(go.sum(axis=(0, 2)).reshape(1, -1, 1, 1))
             if params.weight.requires_grad:
                 gw = np.einsum("bon,bkn->ok", go, (vals * mw).reshape(b, c * n, p), optimize=True)
                 params.weight.add_grad(gw.reshape(params.weight.shape))
-            wt = params.weight.data.reshape(params.out_channels, -1).astype(np.float64)
-            gpatch = np.matmul(wt.T[None], go).reshape(b, c, n, p)
+            del vals  # channel-sized: free it before the scatter
+            a00, a01, a10, a11 = a
             if weights.requires_grad:
-                weights.add_grad((gpatch * vals).sum(axis=1).reshape(b, n, ho, wo))
-            gs = gpatch * mw  # grad w.r.t. each sampled value
-            del vals, gpatch  # channel-sized: free them before the scatter
-            if featmap.requires_grad:
-                featmap.add_grad(_scatter(rec, gs, h, w))
+                w00, w01, w10, w11 = rec.weight
+                gwt = w00 * a00 + w01 * a01 + w10 * a10 + w11 * a11
+                weights.add_grad(gwt.reshape(b, n, ho, wo))
             if offsets.requires_grad:
-                v00, v01, v10, v11 = corners
-                fx, fy = rec.fx, rec.fy
-                dvdx = (1 - fy)[:, None] * (v01 - v00) + fy[:, None] * (v11 - v10)
-                dvdy = (1 - fx)[:, None] * (v10 - v00) + fx[:, None] * (v11 - v01)
-                gx = (gs * dvdx).sum(axis=1).reshape(b, n, ho, wo)
-                gy = (gs * dvdy).sum(axis=1).reshape(b, n, ho, wo)
+                fx, fy, m = rec.fx, rec.fy, mw[:, 0]
+                gx = m * ((1 - fy) * (a01 - a00) + fy * (a11 - a10))
+                gy = m * ((1 - fx) * (a10 - a00) + fx * (a11 - a01))
                 offsets.ensure_grad()
-                offsets.grad[:, 0::2] += gx
-                offsets.grad[:, 1::2] += gy
+                offsets.grad[:, 0::2] += gx.reshape(b, n, ho, wo)
+                offsets.grad[:, 1::2] += gy.reshape(b, n, ho, wo)
+            if featmap.requires_grad:
+                gpatch *= mw  # now the grad w.r.t. each sampled value
+                featmap.add_grad(_scatter(rec, gpatch, h, w))
         t.record(backward)
     return out
 

@@ -8,6 +8,8 @@ tensor's ``grad`` buffer.
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 from contextlib import contextmanager
 from typing import Iterable, Iterator
@@ -154,11 +156,13 @@ def read_tensor(f) -> Tensor:
     if head[:4] != MAGIC:
         raise ValueError(f"bad magic {head[:4]!r}, expected {MAGIC!r}")
     shape = struct.unpack("<4I", head[4:])
-    count = int(np.prod(shape, dtype=np.int64))
-    payload = f.read(4 * count)
-    if len(payload) != 4 * count:
-        raise ValueError(f"truncated GGT1 payload: wanted {4 * count} bytes, got {len(payload)}")
-    arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
+    size = 4 * math.prod(shape)
+    start = f.tell()
+    left = f.seek(0, io.SEEK_END) - start
+    f.seek(start)
+    if size > left:  # checked before reading: a corrupt header may name exabytes
+        raise ValueError(f"truncated GGT1 payload: wanted {size} bytes, got {left}")
+    arr = np.frombuffer(f.read(size), dtype="<f4").reshape(shape)
     return Tensor(shape, arr.copy())
 
 

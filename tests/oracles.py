@@ -79,6 +79,67 @@ def deform_aggregate_ref(featmap, offsets, weights, kernel, bias, stride=1, padd
     return out
 
 
+def _bilinear_corners_ref(h, w, x, y):
+    """In-map corners of (x, y) as (row, col, weight, d weight/dx, d weight/dy).
+
+    The cell is ceil(coord)-1, so a coordinate on a grid line takes the
+    derivative of the cell to its left (above it).
+    """
+    x0 = math.ceil(x) - 1
+    y0 = math.ceil(y) - 1
+    fx = x - x0
+    fy = y - y0
+    out = []
+    for dy in (0, 1):
+        for dx in (0, 1):
+            wx, dwx = (fx, 1.0) if dx else (1.0 - fx, -1.0)
+            wy, dwy = (fy, 1.0) if dy else (1.0 - fy, -1.0)
+            if 0 <= y0 + dy < h and 0 <= x0 + dx < w:
+                out.append((y0 + dy, x0 + dx, wx * wy, dwx * wy, wx * dwy))
+    return out
+
+
+def deform_aggregate_grad_ref(featmap, offsets, weights, kernel, gout, stride=1, padding=0):
+    """Gradients of sum(gout * deform_aggregate_ref(...)), one element at a time.
+
+    Returns (featmap, offsets, weights, kernel, bias) gradients in float64.
+    """
+    b, c, h, w = featmap.shape
+    cout, _, k, _ = kernel.shape
+    ho, wo = gout.shape[2:]
+    gf = np.zeros((b, c, h, w), np.float64)
+    goff = np.zeros(offsets.shape, np.float64)
+    gwt = np.zeros(weights.shape, np.float64)
+    gk = np.zeros(kernel.shape, np.float64)
+    gb = np.asarray(gout, np.float64).sum(axis=(0, 2, 3))
+    for bi in range(b):
+        for yo in range(ho):
+            for xo in range(wo):
+                g = [float(gout[bi, co, yo, xo]) for co in range(cout)]
+                for t in range(k * k):
+                    ty, tx = divmod(t, k)
+                    sx = xo * stride - padding + tx + float(offsets[bi, 2 * t, yo, xo])
+                    sy = yo * stride - padding + ty + float(offsets[bi, 2 * t + 1, yo, xo])
+                    wt = float(weights[bi, t, yo, xo])
+                    corners = _bilinear_corners_ref(h, w, sx, sy)
+                    for ci in range(c):
+                        # d loss / d (sampled value * tap weight)
+                        gp = sum(g[co] * float(kernel[co, ci, ty, tx]) for co in range(cout))
+                        val = dvx = dvy = 0.0
+                        for yy, xx, cw, cdx, cdy in corners:
+                            f = float(featmap[bi, ci, yy, xx])
+                            val += cw * f
+                            dvx += cdx * f
+                            dvy += cdy * f
+                            gf[bi, ci, yy, xx] += gp * wt * cw
+                        gwt[bi, t, yo, xo] += gp * val
+                        goff[bi, 2 * t, yo, xo] += gp * wt * dvx
+                        goff[bi, 2 * t + 1, yo, xo] += gp * wt * dvy
+                        for co in range(cout):
+                            gk[co, ci, ty, tx] += g[co] * val * wt
+    return gf, goff, gwt, gk, gb
+
+
 def maxpool_nms_ref(x):
     """Keep values equal to their 3x3 neighborhood max (plateaus included)."""
     b, c, h, w = x.shape

@@ -1,12 +1,14 @@
 """Command-line chain: synth -> train -> infer -> eval -> visualize."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from ggnet.cli import main
-from ggnet.tensor import Tensor
+from ggnet.model import GGNet, ModelConfig
+from ggnet.tensor import MAGIC, Tensor
 from ggnet.viz import read_ppm_size, tensor_to_rgb8, write_ppm
 
 
@@ -86,6 +88,17 @@ def test_cli_errors_exit_two(workdir, capsys):
     bad_cfg.write_text("image_sz = 48\n")
     assert main(["synth", "--config", str(bad_cfg), "--out", str(workdir / "x")]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_cli_visualize_corrupt_image_exits_two(tmp_path, capsys):
+    ckpt = tmp_path / "tiny.ckpt"
+    GGNet(ModelConfig(num_verbs=2, num_objects=2, channels=4, stride=4,
+                      num_points=9, input_size=16)).save(ckpt)
+    bad = tmp_path / "bad.ggt"
+    bad.write_bytes(MAGIC + struct.pack("<4I", 2**31, 2**31, 1, 1))
+    assert main(["visualize", "--ckpt", str(ckpt), "--image", str(bad),
+                 "--out", str(tmp_path / "bad.ppm")]) == 2
+    assert capsys.readouterr().err.startswith("error: truncated GGT1 payload")
 
 
 def test_ppm_roundtrip(tmp_path):

@@ -9,6 +9,7 @@ from ggnet.tensor import ConfigError, ShapeError, Tensor, tape
 from oracles import (
     bilinear_ref,
     conv2d_ref,
+    deform_aggregate_grad_ref,
     deform_aggregate_ref,
     maxpool_nms_ref,
     topk_ref,
@@ -204,33 +205,48 @@ def _deform_case(rng, b=1, c=2, h=6, w=6, cout=2, k=3, stride=1, pad=1):
     return fm, off, wts, p
 
 
-@pytest.mark.parametrize("seed,stride,field", [
-    pytest.param(0, 1, "uniform", id="0-1"),
-    pytest.param(1, 1, "uniform", id="1-1"),
-    pytest.param(2, 2, "uniform", id="2-2"),
-    pytest.param(3, 1, "grid", id="grid-3-1"),
-    pytest.param(4, 2, "grid", id="grid-4-2"),
-    pytest.param(5, 1, "off_map", id="off_map-5-1"),
+@pytest.mark.parametrize("seed,stride,field,k", [
+    pytest.param(0, 1, "uniform", 3, id="0-1"),
+    pytest.param(1, 1, "uniform", 3, id="1-1"),
+    pytest.param(2, 2, "uniform", 3, id="2-2"),
+    pytest.param(3, 1, "grid", 3, id="grid-3-1"),
+    pytest.param(4, 2, "grid", 3, id="grid-4-2"),
+    pytest.param(5, 1, "off_map", 3, id="off_map-5-1"),
+    pytest.param(6, 2, "uniform", 1, id="k1-6-2"),
+    pytest.param(7, 1, "uniform", 5, id="k5-7-1"),
+    pytest.param(8, 1, "grid", 1, id="grid-k1-8-1"),
+    pytest.param(9, 2, "grid", 5, id="grid-k5-9-2"),
+    pytest.param(10, 2, "off_map", 1, id="off_map-k1-10-2"),
+    pytest.param(11, 2, "off_map", 5, id="off_map-k5-11-2"),
 ])
-def test_deform_aggregate_matches_oracle(seed, stride, field):
+def test_deform_aggregate_matches_oracle(seed, stride, field, k):
     rng = np.random.default_rng(seed)
-    fm, off, wts, p = _deform_case(rng, stride=stride, h=7, w=7)
+    fm, off, wts, p = _deform_case(rng, k=k, stride=stride, pad=k // 2, h=7, w=7)
     if field == "grid":
         # integer offsets put every tap exactly on grid lines (ceil-1 cell rule)
         off.data = np.round(off.data)
     elif field == "off_map":
         # all four corners of every tap fall outside the 7x7 map
         off.data = off.data + np.where(off.data < 0, -20.0, 20.0).astype(np.float32)
-    got = ops.deform_aggregate(fm, off, wts, p)
+    with tape() as tp:
+        got = ops.deform_aggregate(fm, off, wts, p)
+        tp.backward(ops.weighted_sum(got, rng.uniform(-1, 1, got.shape)))
     want = deform_aggregate_ref(fm.data, off.data, wts.data, p.weight.data,
-                                p.bias.data.reshape(-1), stride=stride, padding=1)
+                                p.bias.data.reshape(-1), stride=stride, padding=k // 2)
     assert got.shape == want.shape
     np.testing.assert_allclose(got.data, want, atol=1e-6)
+    want_grads = deform_aggregate_grad_ref(fm.data, off.data, wts.data, p.weight.data,
+                                           got.grad, stride=stride, padding=k // 2)
+    for t, want_grad in zip((fm, off, wts, p.weight, p.bias), want_grads):
+        np.testing.assert_allclose(t.grad, want_grad.reshape(t.shape), rtol=1e-6, atol=1e-6)
 
 
 def test_deform_aggregate_zero_offsets_unit_weights_is_conv2d():
     rng = np.random.default_rng(5)
     fm = _t(rng, (2, 3, 8, 8))
+    # negative border: an off-map tap reads its plane's pixel 0 before masking
+    fm.data[:, :, [0, -1], :] = -np.abs(fm.data[:, :, [0, -1], :])
+    fm.data[:, :, :, [0, -1]] = -np.abs(fm.data[:, :, :, [0, -1]])
     p = ops.ConvParams(_t(rng, (4, 3, 5, 5)), rng.uniform(-1, 1, 4), padding=2)
     n = 25
     off = Tensor.from_array(np.zeros((2, 2 * n, 8, 8), np.float32))

@@ -1,6 +1,7 @@
 """Tensor container, tape mechanics, and GGT1 serialization."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -136,6 +137,17 @@ def test_read_tensor_rejects_truncation():
         read_tensor(io.BytesIO(raw[:10]))
     with pytest.raises(ValueError, match="truncated"):
         read_tensor(io.BytesIO(raw[:-2]))
+
+
+def test_read_tensor_rejects_oversized_header_before_reading():
+    # 2**62 floats: rejected from the header alone, with nothing read or allocated
+    raw = MAGIC + struct.pack("<4I", 2**31, 2**31, 1, 1) + b"\x00" * 8
+    with pytest.raises(ValueError, match="truncated GGT1 payload: wanted 18446744073709551616 bytes, got 8"):
+        read_tensor(io.BytesIO(raw))
+    # the largest shape the header can name overflows int64 element counts
+    raw = MAGIC + struct.pack("<4I", *[2**32 - 1] * 4)
+    with pytest.raises(ValueError, match="truncated GGT1 payload"):
+        read_tensor(io.BytesIO(raw))
 
 
 def test_checkpoint_roundtrip_and_manifest(tmp_path):
