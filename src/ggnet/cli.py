@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .configio import apply_kv, read_kv_file
-from .decoder import load_triplets, save_triplets
+from .decoder import DROP_REASONS, drop_counts, load_triplets, reset_drop_counts, save_triplets
 from .evaluator import evaluate
 from .gradcheck import standard_checks
 from .losses import DataError, load_table
@@ -80,10 +80,12 @@ def _cmd_infer(args) -> int:
     model = GGNet.load(args.ckpt)
     table = load_table(Path(args.data) / "table.txt")
     samples = load_split(args.data, args.split)
+    reset_drop_counts()
     dets = run_inference(model, samples, k=args.candidates, table=table)
     save_triplets(args.out, dets)
     total = sum(len(v) for v in dets.values())
     print(f"wrote {total} triplets over {len(samples)} images to {args.out}")
+    print("dropped peaks: " + ", ".join(f"{r} {drop_counts.get(r, 0)}" for r in DROP_REASONS))
     return 0
 
 

@@ -1,18 +1,23 @@
 """Post-processing: peak candidates, point matching, box decoding, triplets.
 
-Decoding walks the deepest interaction heatmap's peaks, pulls the verb's
+Decoding takes the deepest interaction heatmap's peaks, pulls the verb's
 matching offsets at each peak, snaps human/object center candidates to the
 offset targets (cost = L1 distance / candidate score), decodes boxes from the
-size/sub-pixel maps, and multiplies the three scores.
+size/sub-pixel maps, and multiplies the three scores. Per image it builds one
+(peaks x humans) and one (peaks x objects) cost matrix; everything after that
+is array code over all peaks at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .losses import HoiCategoryTable
 from .model import ForwardOutputs
-from .ops import maxpool_nms, slice_channels, topk
+from .ops import maxpool_nms, topk
 from .tensor import Tensor
 
 
@@ -22,9 +27,22 @@ class NoCandidateError(ValueError):
 
 Box = tuple[float, float, float, float]
 
+# Running tally of interaction peaks that assemble_triplets drops, each under
+# the first reason that applies, in this order.
+DROP_REASONS = ("empty_pool", "degenerate_box", "table_filter")
+drop_counts: dict[str, int] = {}
 
-@dataclass(frozen=True)
-class PointCandidate:
+
+def reset_drop_counts() -> None:
+    drop_counts.clear()
+
+
+def _drop(reason: str, n) -> None:
+    if n:
+        drop_counts[reason] = drop_counts.get(reason, 0) + int(n)
+
+
+class PointCandidate(NamedTuple):
     """One surviving heatmap peak."""
 
     score: float
@@ -43,62 +61,83 @@ class HoiTriplet:
 
 
 def select_candidates(heatmap: Tensor, k: int = 100, batch: int = 0) -> list[PointCandidate]:
-    """Peak-isolate with a 3x3 max filter, then take the k best pixels across
-    all channels. Suppressed (zeroed) pixels never become candidates."""
-    peaks = maxpool_nms(heatmap)
+    """Peak-isolate one image with a 3x3 max filter, then take its k best
+    pixels across all channels. Suppressed (zeroed) pixels never become
+    candidates."""
+    peaks = maxpool_nms(Tensor.from_array(heatmap.data[batch][None]))
     return [PointCandidate(score, channel, x, y)
-            for score, channel, y, x in topk(peaks, k, batch=batch)
-            if score > 0.0]
+            for score, channel, y, x in topk(peaks, k) if score > 0.0]
 
 
-def _match_cost(target_x: float, target_y: float, cand: PointCandidate, norm: str) -> float:
+def _pool(cands: list[PointCandidate]) -> np.ndarray:
+    """Candidates as float64 rows (score, channel, x, y), one column each."""
+    return np.array(cands, dtype=np.float64).reshape(-1, 4).T
+
+
+def _nearest(tx: np.ndarray, ty: np.ndarray, pool: np.ndarray, norm: str) -> np.ndarray:
+    """Per target, the index of the pool candidate minimizing distance over
+    score. The pool is in selection order (descending score, then ascending
+    index), so argmin's first minimum breaks a cost tie toward the higher
+    score, then the earlier candidate."""
+    score, _, x, y = pool
+    dx = np.abs(tx[:, None] - x)
+    dy = np.abs(ty[:, None] - y)
     if norm == "l1":
-        dist = abs(target_x - cand.x) + abs(target_y - cand.y)
+        dist = dx + dy
     elif norm == "l2":
-        dist = ((target_x - cand.x) ** 2 + (target_y - cand.y) ** 2) ** 0.5
+        dist = np.sqrt(dx * dx + dy * dy)
     else:
         raise ValueError(f"unknown norm {norm!r}")
-    return dist / cand.score
+    return np.argmin(dist / score, axis=1)
 
 
 def match_point(ip: PointCandidate, apm_offset: tuple[float, float],
                 candidates: list[PointCandidate], norm: str = "l1") -> PointCandidate:
     """Candidate minimizing distance-to-target over its own score, where the
     target is the interaction point minus the predicted offset. Ties go to the
-    higher-scoring candidate, then to the earlier one in selection order
-    (selection order is descending score, then ascending linear index)."""
+    higher-scoring candidate, then to the earlier one in the given order."""
     if not candidates:
         raise NoCandidateError("no candidates to match against")
-    tx = ip.x - apm_offset[0]
-    ty = ip.y - apm_offset[1]
-    best = None
-    best_key = None
-    for cand in candidates:
-        key = (_match_cost(tx, ty, cand, norm), -cand.score)
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    return best
+    ranked = sorted(candidates, key=lambda c: -c.score)
+    tx = np.array([ip.x - apm_offset[0]])
+    ty = np.array([ip.y - apm_offset[1]])
+    return ranked[int(_nearest(tx, ty, _pool(ranked), norm)[0])]
+
+
+def _decode_boxes(x: np.ndarray, y: np.ndarray, wh: np.ndarray, reg: np.ndarray,
+                  stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Center pixels of one image -> (n, 4) input-image-pixel boxes, clamped to
+    the image bounds, and a mask that is False for degenerate (nonpositive-size)
+    boxes. ``wh`` and ``reg`` are that image's (2, h, w) size and sub-pixel maps."""
+    _, fh, fw = wh.shape
+    xi, yi = x.astype(np.intp), y.astype(np.intp)
+    bw, bh = wh[:, yi, xi].astype(np.float64)
+    cx = x + reg[0, yi, xi].astype(np.float64)
+    cy = y + reg[1, yi, xi].astype(np.float64)
+    boxes = np.stack([cx - bw / 2.0, cy - bh / 2.0, cx + bw / 2.0, cy + bh / 2.0], axis=1)
+    bounds = np.array([fw, fh, fw, fh], np.float64) * stride
+    boxes = np.clip(boxes * stride, 0.0, bounds)
+    # NaN sizes and corners compare False here, so they pass as they always did.
+    bad = (bw <= 0.0) | (bh <= 0.0) | (boxes[:, 2] <= boxes[:, 0]) | (boxes[:, 3] <= boxes[:, 1])
+    return boxes, ~bad
 
 
 def decode_box(center: PointCandidate, det_wh: Tensor, det_reg: Tensor,
                stride: int, batch: int = 0) -> Box | None:
     """Center candidate -> input-image-pixel box, clamped to image bounds.
     Returns None for degenerate (nonpositive-size) boxes."""
-    _, _, fh, fw = det_wh.shape
-    bw = float(det_wh.data[batch, 0, center.y, center.x])
-    bh = float(det_wh.data[batch, 1, center.y, center.x])
-    if bw <= 0.0 or bh <= 0.0:
-        return None
-    cx = center.x + float(det_reg.data[batch, 0, center.y, center.x])
-    cy = center.y + float(det_reg.data[batch, 1, center.y, center.x])
-    img_w, img_h = fw * stride, fh * stride
-    x1 = min(max((cx - bw / 2.0) * stride, 0.0), img_w)
-    x2 = min(max((cx + bw / 2.0) * stride, 0.0), img_w)
-    y1 = min(max((cy - bh / 2.0) * stride, 0.0), img_h)
-    y2 = min(max((cy + bh / 2.0) * stride, 0.0), img_h)
-    if x2 <= x1 or y2 <= y1:
-        return None
-    return (x1, y1, x2, y2)
+    boxes, ok = _decode_boxes(np.array([center.x], np.float64), np.array([center.y], np.float64),
+                              det_wh.data[batch], det_reg.data[batch], stride)
+    return tuple(boxes[0].tolist()) if ok[0] else None
+
+
+def _meaningful(table: HoiCategoryTable, verbs: int, objects: int) -> np.ndarray:
+    """Boolean (verb, object) lookup of the table's meaningful pairs, large
+    enough for both the table and the heatmaps' channel counts."""
+    lut = np.zeros((max(table.num_verbs, verbs), max(table.num_objects, objects)), bool)
+    for v, o in table.meaningful:
+        lut[v, o] = True
+    return lut
 
 
 def assemble_triplets(outputs: ForwardOutputs, stride: int, k: int = 100,
@@ -106,32 +145,43 @@ def assemble_triplets(outputs: ForwardOutputs, stride: int, k: int = 100,
                       batch: int = 0) -> list[HoiTriplet]:
     """Full decode for one image of a forward_infer pass; at most k triplets,
     sorted by descending combined score (stable). Passing a category table
-    drops pairs outside its meaningful set."""
+    drops pairs outside its meaningful set. Every peak that yields no triplet
+    is counted in ``drop_counts``."""
+    det = outputs.det_center.data[batch][None]
     interactions = select_candidates(outputs.interaction_map, k, batch=batch)
-    num_center_ch = outputs.det_center.shape[1]
-    human_cands = select_candidates(slice_channels(outputs.det_center, 0, 1), k, batch=batch)
-    object_cands = select_candidates(
-        slice_channels(outputs.det_center, 1, num_center_ch), k, batch=batch)
-    offsets = outputs.match_offsets.data
-    triplets = []
-    for ip in interactions:
-        grp = ip.channel if outputs.match_groups > 1 else 0
-        off = offsets[batch, 4 * grp:4 * grp + 4, ip.y, ip.x]
-        try:
-            human = match_point(ip, (float(off[0]), float(off[1])), human_cands, norm)
-            obj = match_point(ip, (float(off[2]), float(off[3])), object_cands, norm)
-        except NoCandidateError:
-            continue
-        human_box = decode_box(human, outputs.det_wh, outputs.det_reg, stride, batch)
-        object_box = decode_box(obj, outputs.det_wh, outputs.det_reg, stride, batch)
-        if human_box is None or object_box is None:
-            continue
-        if table is not None and (ip.channel, obj.channel) not in table.meaningful:
-            continue
-        triplets.append(HoiTriplet(human_box, object_box, ip.channel, obj.channel,
-                                   ip.score * human.score * obj.score))
-    triplets.sort(key=lambda t: -t.score)
-    return triplets[:k]
+    humans = select_candidates(Tensor.from_array(det[:, :1]), k)
+    objects = select_candidates(Tensor.from_array(det[:, 1:]), k)
+    if not interactions:
+        return []
+    if not humans or not objects:
+        _drop("empty_pool", len(interactions))
+        return []
+    ip_score, verb, x, y = _pool(interactions)
+    verb = verb.astype(np.intp)
+    grp = verb if outputs.match_groups > 1 else np.zeros_like(verb)
+    rows = 4 * grp[:, None] + np.arange(4)
+    off = outputs.match_offsets.data[batch][rows, y.astype(np.intp)[:, None],
+                                            x.astype(np.intp)[:, None]].astype(np.float64)
+    hum, obj = _pool(humans), _pool(objects)
+    hi = _nearest(x - off[:, 0], y - off[:, 1], hum, norm)
+    oi = _nearest(x - off[:, 2], y - off[:, 3], obj, norm)
+    wh, reg = outputs.det_wh.data[batch], outputs.det_reg.data[batch]
+    human_box, human_ok = _decode_boxes(hum[2, hi], hum[3, hi], wh, reg, stride)
+    object_box, object_ok = _decode_boxes(obj[2, oi], obj[3, oi], wh, reg, stride)
+    keep = human_ok & object_ok
+    _drop("degenerate_box", len(keep) - keep.sum())
+    obj_class = obj[1, oi].astype(np.intp)
+    if table is not None:
+        lut = _meaningful(table, outputs.interaction_map.shape[1], det.shape[1] - 1)
+        allowed = lut[verb, obj_class]
+        _drop("table_filter", (keep & ~allowed).sum())
+        keep &= allowed
+    score = ip_score * hum[0, hi] * obj[0, oi]
+    kept = np.flatnonzero(keep)
+    order = kept[np.argsort(-score[kept], kind="stable")]
+    return [HoiTriplet(tuple(hb), tuple(ob), v, c, s) for hb, ob, v, c, s in zip(
+        human_box[order].tolist(), object_box[order].tolist(), verb[order].tolist(),
+        obj_class[order].tolist(), score[order].tolist())]
 
 
 # ===== Text interchange =====

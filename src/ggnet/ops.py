@@ -452,13 +452,17 @@ def deform_aggregate(featmap: Tensor, offsets: Tensor, weights: Tensor,
 # ===== Peak extraction (inference only) =====
 
 def maxpool_nms(heatmap: Tensor) -> Tensor:
-    """Keep values equal to their 3x3 neighborhood max, zero the rest."""
+    """Keep values equal to their 3x3 neighborhood max, zero the rest.
+
+    The 3x3 max is separable: three row-shifted slices of a ``-inf``-bordered
+    copy, then three column-shifted ones. Max is exact in any order, and a NaN
+    in the window makes the max NaN, so NaN pixels and their neighbors drop."""
     x = heatmap.data
-    b, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), constant_values=-np.inf)
-    s0, s1, s2, s3 = xp.strides
-    win = as_strided(xp, (b, c, h, w, 3, 3), (s0, s1, s2, s3, s2, s3))
-    local_max = win.max(axis=(-2, -1))
+    h, w = x.shape[-2:]
+    xp = np.full(x.shape[:-2] + (h + 2, w + 2), -np.inf, np.float32)
+    xp[..., 1:-1, 1:-1] = x
+    rows = np.maximum(np.maximum(xp[..., :-2, :], xp[..., 1:-1, :]), xp[..., 2:, :])
+    local_max = np.maximum(np.maximum(rows[..., :-2], rows[..., 1:-1]), rows[..., 2:])
     return Tensor.from_array(np.where(x == local_max, x, 0.0))
 
 
@@ -472,11 +476,7 @@ def topk(heatmap: Tensor, k: int, batch: int = 0) -> list[tuple[float, int, int,
         raise ValueError(f"k must be >= 1, got {k}")
     _, c, h, w = heatmap.shape
     flat = heatmap.data[batch].reshape(-1)
-    order = np.argsort(-flat, kind="stable")[:min(k, flat.size)]
-    out = []
-    for i in order:
-        i = int(i)
-        ch, rest = divmod(i, h * w)
-        y, x = divmod(rest, w)
-        out.append((float(flat[i]), ch, y, x))
-    return out
+    order = np.argsort(-flat, kind="stable")[:k]
+    ch, rest = np.divmod(order, h * w)
+    y, x = np.divmod(rest, w)
+    return list(zip(flat[order].tolist(), ch.tolist(), y.tolist(), x.tolist()))

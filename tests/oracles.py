@@ -279,6 +279,69 @@ def match_point_ref(ip, offset, candidates, norm="l1"):
     return best
 
 
+class _Cand:
+    __slots__ = ("score", "channel", "x", "y")
+
+    def __init__(self, score, channel, x, y):
+        self.score, self.channel, self.x, self.y = score, channel, x, y
+
+
+def _candidates_ref(planes, k):
+    """3x3-max peaks of one image's (c, h, w) planes, best k, positive only."""
+    peaks = maxpool_nms_ref(planes[None])[0]
+    return [_Cand(s, c, x, y) for s, c, y, x in topk_ref(peaks, k) if s > 0.0]
+
+
+def _decode_box_ref(center, wh, reg, stride):
+    _, fh, fw = wh.shape
+    bw = float(wh[0, center.y, center.x])
+    bh = float(wh[1, center.y, center.x])
+    if bw <= 0.0 or bh <= 0.0:
+        return None
+    cx = center.x + float(reg[0, center.y, center.x])
+    cy = center.y + float(reg[1, center.y, center.x])
+    img_w, img_h = fw * stride, fh * stride
+    x1 = min(max((cx - bw / 2.0) * stride, 0.0), img_w)
+    x2 = min(max((cx + bw / 2.0) * stride, 0.0), img_w)
+    y1 = min(max((cy - bh / 2.0) * stride, 0.0), img_h)
+    y2 = min(max((cy + bh / 2.0) * stride, 0.0), img_h)
+    if x2 <= x1 or y2 <= y1:
+        return None
+    return (x1, y1, x2, y2)
+
+
+def assemble_triplets_ref(outputs, stride, k=100, meaningful=None, norm="l1", batch=0):
+    """Peak-by-peak decode of one image: match each interaction peak's two
+    offset targets against the human and object pools, decode both boxes,
+    filter by the (verb, object) pairs in ``meaningful`` when given, and sort
+    by descending ip*h*o score (stable). Triplets are tuples
+    (human_box, object_box, verb, object_class, score)."""
+    det = outputs.det_center.data[batch]
+    interactions = _candidates_ref(outputs.interaction_map.data[batch], k)
+    humans = _candidates_ref(det[:1], k)
+    objects = _candidates_ref(det[1:], k)
+    offsets = outputs.match_offsets.data[batch]
+    wh, reg = outputs.det_wh.data[batch], outputs.det_reg.data[batch]
+    triplets = []
+    for ip in interactions:
+        if not humans or not objects:
+            continue
+        grp = ip.channel if outputs.match_groups > 1 else 0
+        off = [float(v) for v in offsets[4 * grp:4 * grp + 4, ip.y, ip.x]]
+        human = match_point_ref((ip.x, ip.y), off[0:2], humans, norm)
+        obj = match_point_ref((ip.x, ip.y), off[2:4], objects, norm)
+        human_box = _decode_box_ref(human, wh, reg, stride)
+        object_box = _decode_box_ref(obj, wh, reg, stride)
+        if human_box is None or object_box is None:
+            continue
+        if meaningful is not None and (ip.channel, obj.channel) not in meaningful:
+            continue
+        triplets.append((human_box, object_box, ip.channel, obj.channel,
+                         ip.score * human.score * obj.score))
+    triplets.sort(key=lambda t: -t[4])
+    return triplets[:k]
+
+
 def iou_ref(a, b):
     ix = max(0.0, min(a[2], b[2]) - max(a[0], b[0]))
     iy = max(0.0, min(a[3], b[3]) - max(a[1], b[1]))

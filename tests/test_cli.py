@@ -45,6 +45,10 @@ def test_cli_full_chain(workdir, capsys):
                  "--candidates", "10"]) == 0
     out = capsys.readouterr().out
     assert "over 4 images" in out
+    dropped = out.splitlines()[1].split(": ")
+    assert dropped[0] == "dropped peaks"
+    assert [r.split()[0] for r in dropped[1].split(", ")] == [
+        "empty_pool", "degenerate_box", "table_filter"]
     assert trips.exists()
 
     assert main(["eval", "--dets", str(trips), "--gt", str(data),

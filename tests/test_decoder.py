@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ggnet import decoder
 from ggnet.decoder import (
+    DROP_REASONS,
     HoiTriplet,
     NoCandidateError,
     PointCandidate,
@@ -20,7 +24,7 @@ from ggnet.losses import HoiCategoryTable
 from ggnet.model import ForwardOutputs
 from ggnet.tensor import Tensor
 
-from oracles import match_point_ref
+from oracles import assemble_triplets_ref, match_point_ref
 
 
 def _t(arr):
@@ -221,6 +225,98 @@ def test_assemble_triplets_single_group_offsets():
     outs = _outputs(inter, off, det, wh, reg, groups=1)
     trips = assemble_triplets(outs, stride=4)
     assert [(t.verb, t.object_class) for t in trips] == [(1, 1)]
+
+
+def test_assemble_triplets_returns_python_floats():
+    # the verb-1 object box is clamped to the 8*4 image's right and bottom edge
+    inter, off, det, wh, reg = _scene()
+    trips = assemble_triplets(_outputs(inter, off, det, wh, reg, groups=2), stride=4)
+    assert trips[0].object_box[2:] == (32.0, 32.0)
+    for t in trips:
+        assert all(type(v) is float for v in (*t.human_box, *t.object_box, t.score))
+        assert type(t.verb) is int and type(t.object_class) is int
+    wh_map = np.zeros((1, 2, 8, 8), np.float32)
+    wh_map[0, :, 0, 0] = [50.0, 50.0]
+    box = decode_box(PointCandidate(1.0, 0, 0, 0), _t(wh_map), _t(np.zeros_like(wh_map)), 4)
+    assert [type(v) for v in box] == [float] * 4
+
+
+def test_assemble_triplets_counts_each_dropped_peak_once():
+    inter, off, det, wh, reg = _scene()
+    no_humans = det.copy()
+    no_humans[0, 0] = 0.0
+    flat = wh.copy()
+    flat[0, :, 6, 6] = 0.0  # the verb-1 object has no size
+    only_v1 = HoiCategoryTable(2, 2, frozenset({(1, 1)}), frozenset())
+    nothing = HoiCategoryTable(2, 2, frozenset(), frozenset())
+    cases = [  # (center maps, size maps, table) -> (empty_pool, degenerate_box, table_filter)
+        ((det, wh, None), (0, 0, 0)),
+        ((no_humans, wh, None), (2, 0, 0)),
+        ((det, flat, None), (0, 1, 0)),
+        ((det, wh, only_v1), (0, 0, 1)),
+        # a degenerate box is counted before the table filter, never twice
+        ((det, flat, nothing), (0, 1, 1)),
+    ]
+    for (centers, sizes, table), want in cases:
+        outs = _outputs(inter, off, centers, sizes, reg, groups=2)
+        decoder.reset_drop_counts()
+        trips = assemble_triplets(outs, stride=4, table=table)
+        drops = tuple(decoder.drop_counts.get(r, 0) for r in DROP_REASONS)
+        assert drops == want
+        assert sum(drops) + len(trips) == 2  # the scene's two peaks
+    decoder.reset_drop_counts()
+    assert decoder.drop_counts == {}
+
+
+# ===== array decoder against the peak-by-peak oracle =====
+
+def _maps(rng, shape, levels, lo, hi):
+    """Float32 maps whose entries are, at random, quantised levels (ties and
+    plateaus) or free values in [lo, hi]."""
+    free = rng.uniform(lo, hi, shape)
+    return np.where(rng.random(shape) < 0.5, rng.choice(levels, shape), free).astype(np.float32)
+
+
+@st.composite
+def _forward_case(draw):
+    """Hypothesis draws the structure; a drawn seed fills the maps."""
+    verbs, objects = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    b, h, w = draw(st.integers(1, 2)), draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    groups = draw(st.sampled_from([1, verbs]))
+    odd_offsets, odd_sizes, far_centers = (draw(st.booleans()) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = [0.0, 0.25, 0.5, 0.75, 1.0]
+    inter = _maps(rng, (b, verbs, h, w), scores, 0.0, 1.0)
+    det = _maps(rng, (b, 1 + objects, h, w), scores, 0.0, 1.0)
+    empty = draw(st.sampled_from(["none"] * 4 + ["humans", "objects"]))
+    if empty == "humans":
+        det[:, 0] = 0.0
+    elif empty == "objects":
+        det[:, 1:] = 0.0
+    off_levels = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+    if odd_offsets:  # whole rows of NaN or inf costs
+        off_levels += [np.nan, np.inf, -np.inf]
+    off = _maps(rng, (b, 4 * groups, h, w), off_levels, -8.0, 8.0)
+    wh_levels = [1.0, 2.0, 4.0, 50.0] + ([0.0, -1.0] if odd_sizes else [])
+    wh = _maps(rng, (b, 2, h, w), wh_levels, 0.125, 6.0)
+    reg = _maps(rng, (b, 2, h, w), [-0.5, 0.0, 0.5] + ([8.0] if far_centers else []), -1.0, 1.0)
+    outs = _outputs(inter, off, det, wh, reg, groups)
+    pairs = [(v, o) for v in range(verbs) for o in range(objects)]
+    meaningful = draw(st.one_of(st.none(), st.frozensets(st.sampled_from(pairs))))
+    table = None if meaningful is None else HoiCategoryTable(
+        verbs, objects, meaningful, frozenset())
+    return outs, table, draw(st.sampled_from([1, 2, 3, 5, 100])), \
+        draw(st.integers(1, 4)), draw(st.integers(0, b - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_forward_case())
+def test_assemble_triplets_matches_peak_by_peak_oracle(case):
+    outs, table, k, stride, batch = case
+    got = assemble_triplets(outs, stride, k=k, table=table, batch=batch)
+    want = assemble_triplets_ref(outs, stride, k=k, batch=batch,
+                                 meaningful=None if table is None else table.meaningful)
+    assert [(t.human_box, t.object_box, t.verb, t.object_class, t.score) for t in got] == want
 
 
 # ===== text interchange =====
