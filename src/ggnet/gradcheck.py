@@ -2,9 +2,9 @@
 
 ``finite_diff_check`` runs a scalar-valued function once under a tape to
 collect analytic gradients, then probes sampled entries of each watched
-tensor with central differences. ``standard_checks`` registers one
-constructor per differentiable op so both the test suite and the
-``gradcheck`` CLI subcommand drive the identical battery.
+tensor with central differences. ``CHECKS`` holds one builder per
+differentiable op, and ``standard_checks`` runs them, so both the test suite
+and the ``gradcheck`` CLI subcommand drive the identical battery.
 """
 
 from __future__ import annotations
@@ -107,6 +107,21 @@ def finite_diff_check(func, wrt, *, eps: float = 1e-3, rel_tol: float = 1e-3,
 
 
 # ===== Per-op check battery =====
+#
+# Each builder takes the check's rng, draws its inputs from it, and returns
+# (func, wrt) for finite_diff_check, which goes on drawing its probe
+# directions from the same rng.
+
+CHECKS: list = []
+
+
+def _check(op: str):
+    """Register the decorated ``build(rng) -> (func, wrt)`` as the check of ``op``."""
+    def register(build):
+        CHECKS.append((op, build))
+        return build
+    return register
+
 
 def _rand_t(rng, shape, lo=-1.0, hi=1.0) -> Tensor:
     return Tensor.from_array(rng.uniform(lo, hi, shape).astype(np.float32))
@@ -121,176 +136,137 @@ def _off_eighths(t: Tensor) -> Tensor:
     return t
 
 
-def _proj(rng, shape) -> np.ndarray:
-    # Fixed random projection keeps per-entry grads from cancelling to ~0.
-    return rng.uniform(0.5, 1.5, shape)
+def _projected(rng, shape, op):
+    """Scalar func: ``op()`` weighted by a fixed random projection drawn now.
+
+    The projection keeps per-entry grads from cancelling to ~0.
+    """
+    w = rng.uniform(0.5, 1.5, shape)
+    return lambda: ops.weighted_sum(op(), w)
 
 
-def _check_conv2d(seed: int) -> GradCheckReport:
-    rng = np.random.default_rng(seed)
-    x = _rand_t(rng, (2, 3, 6, 6))
-    p = ops.ConvParams(_rand_t(rng, (4, 3, 3, 3)), rng.uniform(-0.5, 0.5, 4), stride=1, padding=1)
-    w = _proj(rng, (2, 4, 6, 6))
-    func = lambda: ops.weighted_sum(ops.conv2d(x, p), w)
-    return finite_diff_check(func, [("input", x), ("weight", p.weight), ("bias", p.bias)],
-                             rng=rng, name="conv2d")
+def _conv2d(rng, x_shape, w_shape, stride, out_shape):
+    x = _rand_t(rng, x_shape)
+    p = ops.ConvParams(_rand_t(rng, w_shape), rng.uniform(-0.5, 0.5, w_shape[0]),
+                       stride=stride, padding=1)
+    return (_projected(rng, out_shape, lambda: ops.conv2d(x, p)),
+            [("input", x), ("weight", p.weight), ("bias", p.bias)])
 
 
-def _check_conv2d_strided(seed: int) -> GradCheckReport:
-    rng = np.random.default_rng(seed)
-    x = _rand_t(rng, (1, 2, 7, 7))
-    p = ops.ConvParams(_rand_t(rng, (3, 2, 3, 3)), rng.uniform(-0.5, 0.5, 3), stride=2, padding=1)
-    w = _proj(rng, (1, 3, 4, 4))
-    func = lambda: ops.weighted_sum(ops.conv2d(x, p), w)
-    return finite_diff_check(func, [("input", x), ("weight", p.weight), ("bias", p.bias)],
-                             rng=rng, name="conv2d_strided")
+@_check("conv2d")
+def _(rng):
+    return _conv2d(rng, (2, 3, 6, 6), (4, 3, 3, 3), 1, (2, 4, 6, 6))
 
 
-def _check_relu(seed: int) -> GradCheckReport:
-    rng = np.random.default_rng(seed)
+@_check("conv2d_strided")
+def _(rng):
+    return _conv2d(rng, (1, 2, 7, 7), (3, 2, 3, 3), 2, (1, 3, 4, 4))
+
+
+@_check("relu")
+def _(rng):
     x = _rand_t(rng, (2, 3, 5, 5))
     # keep probes away from the kink at 0
     x.data[np.abs(x.data) < 0.02] += 0.05
-    w = _proj(rng, (2, 3, 5, 5))
-    func = lambda: ops.weighted_sum(ops.relu(x), w)
-    return finite_diff_check(func, [("input", x)], rng=rng, name="relu")
+    return _projected(rng, x.shape, lambda: ops.relu(x)), [("input", x)]
 
 
-def _check_sigmoid(seed: int) -> GradCheckReport:
-    rng = np.random.default_rng(seed)
+@_check("sigmoid")
+def _(rng):
     x = _rand_t(rng, (2, 2, 4, 4), -3, 3)
-    w = _proj(rng, (2, 2, 4, 4))
-    func = lambda: ops.weighted_sum(ops.sigmoid(x), w)
-    return finite_diff_check(func, [("input", x)], rng=rng, name="sigmoid")
+    return _projected(rng, x.shape, lambda: ops.sigmoid(x)), [("input", x)]
 
 
-def _check_add(seed: int) -> GradCheckReport:
-    rng = np.random.default_rng(seed)
-    a = _rand_t(rng, (2, 4, 3, 3))
-    b = _rand_t(rng, (2, 4, 3, 3))
-    w = _proj(rng, (2, 4, 3, 3))
-    func = lambda: ops.weighted_sum(ops.add(a, b), w)
-    return finite_diff_check(func, [("a", a), ("b", b)], rng=rng, name="add")
+@_check("add")
+def _(rng):
+    a, b = _rand_t(rng, (2, 4, 3, 3)), _rand_t(rng, (2, 4, 3, 3))
+    return _projected(rng, a.shape, lambda: ops.add(a, b)), [("a", a), ("b", b)]
 
 
-def _check_slice_channels(seed: int) -> GradCheckReport:
-    rng = np.random.default_rng(seed)
+@_check("slice_channels")
+def _(rng):
     x = _rand_t(rng, (2, 6, 4, 4))
-    w = _proj(rng, (2, 3, 4, 4))
-    func = lambda: ops.weighted_sum(ops.slice_channels(x, 1, 4), w)
-    return finite_diff_check(func, [("input", x)], rng=rng, name="slice_channels")
+    return _projected(rng, (2, 3, 4, 4), lambda: ops.slice_channels(x, 1, 4)), [("input", x)]
 
 
-def _check_group_mean(seed: int) -> GradCheckReport:
-    rng = np.random.default_rng(seed)
+@_check("group_mean_channels")
+def _(rng):
     x = _rand_t(rng, (2, 8, 3, 3))
-    w = _proj(rng, (2, 4, 3, 3))
-    func = lambda: ops.weighted_sum(ops.group_mean_channels(x, 2), w)
-    return finite_diff_check(func, [("input", x)], rng=rng, name="group_mean_channels")
+    return _projected(rng, (2, 4, 3, 3), lambda: ops.group_mean_channels(x, 2)), [("input", x)]
 
 
-def _check_combine_scalars(seed: int) -> GradCheckReport:
-    rng = np.random.default_rng(seed)
-    a = _rand_t(rng, (1, 2, 3, 3))
-    b = _rand_t(rng, (1, 2, 3, 3))
+@_check("combine_scalars")
+def _(rng):
+    a, b = _rand_t(rng, (1, 2, 3, 3)), _rand_t(rng, (1, 2, 3, 3))
     func = lambda: ops.combine_scalars([(1.0, ops.weighted_sum(a)), (0.1, ops.weighted_sum(b))])
-    return finite_diff_check(func, [("a", a), ("b", b)], rng=rng, name="combine_scalars")
+    return func, [("a", a), ("b", b)]
 
 
-def _deform_setup(rng):
+@_check("deform_aggregate")
+def _(rng):
+    n = 9  # a 3x3 kernel's taps
     fm = _rand_t(rng, (1, 2, 6, 6))
-    k = 3
-    n = k * k
-    p = ops.ConvParams(_rand_t(rng, (2, 2, k, k)), rng.uniform(-0.5, 0.5, 2), stride=1, padding=1)
+    p = ops.ConvParams(_rand_t(rng, (2, 2, 3, 3)), rng.uniform(-0.5, 0.5, 2), stride=1, padding=1)
     # fractional offsets keep sampling away from integer-coordinate kinks
-    off = Tensor.from_array(rng.uniform(-1.5, 1.5, (1, 2 * n, 6, 6)).astype(np.float32))
+    off = _rand_t(rng, (1, 2 * n, 6, 6), -1.5, 1.5)
     off.data[np.abs(off.data - np.round(off.data)) < 0.05] += 0.13
     wts = _rand_t(rng, (1, n, 6, 6), 0.2, 1.2)
-    return fm, off, wts, p
+    func = _projected(rng, (1, 2, 6, 6), lambda: ops.deform_aggregate(fm, off, wts, p))
+    return func, [("featmap", fm), ("offsets", off), ("weights", wts),
+                  ("kernel", p.weight), ("bias", p.bias)]
 
 
-def _check_deform(seed: int) -> GradCheckReport:
-    rng = np.random.default_rng(seed)
-    fm, off, wts, p = _deform_setup(rng)
-    w = _proj(rng, (1, 2, 6, 6))
-    func = lambda: ops.weighted_sum(ops.deform_aggregate(fm, off, wts, p), w)
-    return finite_diff_check(
-        func,
-        [("featmap", fm), ("offsets", off), ("weights", wts),
-         ("kernel", p.weight), ("bias", p.bias)],
-        rng=rng, name="deform_aggregate")
-
-
-def _check_hna_loss(seed: int) -> GradCheckReport:
-    rng = np.random.default_rng(seed)
+@_check("hna_loss")
+def _(rng):
     pred = _rand_t(rng, (1, 2, 6, 6), 0.05, 0.95)
     mask = np.zeros((1, 2, 6, 6), np.float32)
     mask[0, 0, 2, 2] = 1.0
     mask[0, 1, 2, 2] = -1.0
     mask[0, 0, 4, 4] = 0.6
     mask[0, 1, 1, 3] = -0.4
-    func = lambda: losses.hna_loss(pred, mask, 1)
-    return finite_diff_check(func, [("pred", pred)], rng=rng, name="hna_loss")
+    return lambda: losses.hna_loss(pred, mask, 1), [("pred", pred)]
 
 
-def _check_focal(seed: int) -> GradCheckReport:
-    rng = np.random.default_rng(seed)
+@_check("centernet_focal")
+def _(rng):
     pred = _rand_t(rng, (1, 2, 6, 6), 0.05, 0.95)
     target = np.zeros((1, 2, 6, 6), np.float32)
     target[0, 0, 3, 3] = 1.0
     target[0, 1, 2, 4] = 0.7
-    func = lambda: losses.centernet_focal(pred, target, 1)
-    return finite_diff_check(func, [("pred", pred)], rng=rng, name="centernet_focal")
+    return lambda: losses.centernet_focal(pred, target, 1), [("pred", pred)]
 
 
-def _check_matching_loss(seed: int) -> GradCheckReport:
-    rng = np.random.default_rng(seed)
-    from .losses import HoiAnnotation
+@_check("matching_loss")
+def _(rng):
     pred = _off_eighths(_rand_t(rng, (1, 8, 8, 8)))
-    annos = [[HoiAnnotation((4.0, 4.0, 12.0, 12.0), (16.0, 8.0, 24.0, 16.0), 1, 0)]]
-    func = lambda: losses.matching_loss(pred, annos, stride=4, groups=2)
-    return finite_diff_check(func, [("offsets", pred)], rng=rng, name="matching_loss")
+    annos = [[losses.HoiAnnotation((4.0, 4.0, 12.0, 12.0), (16.0, 8.0, 24.0, 16.0), 1, 0)]]
+    return lambda: losses.matching_loss(pred, annos, stride=4, groups=2), [("offsets", pred)]
 
 
-def _check_detection_losses(seed: int) -> GradCheckReport:
-    rng = np.random.default_rng(seed)
-    from .losses import HoiAnnotation, HoiCategoryTable
-    table = HoiCategoryTable(2, 2, frozenset({(0, 0), (1, 1)}), frozenset())
+@_check("detection_losses")
+def _(rng):
+    table = losses.HoiCategoryTable(2, 2, frozenset({(0, 0), (1, 1)}), frozenset())
     center = _rand_t(rng, (1, 3, 8, 8), 0.05, 0.95)
     wh = _off_eighths(_rand_t(rng, (1, 2, 8, 8), 0.5, 3.0))
     reg = _off_eighths(_rand_t(rng, (1, 2, 8, 8), -0.4, 0.4))
-    annos = [[HoiAnnotation((4.0, 4.0, 13.0, 12.0), (18.0, 10.0, 27.0, 20.0), 0, 0)]]
+    annos = [[losses.HoiAnnotation((4.0, 4.0, 13.0, 12.0), (18.0, 10.0, 27.0, 20.0), 0, 0)]]
     func = lambda: losses.detection_losses(center, wh, reg, annos, table, stride=4)[0]
-    return finite_diff_check(func, [("center", center), ("wh", wh), ("reg", reg)],
-                             rng=rng, name="detection_losses")
-
-
-CHECKS = [
-    ("conv2d", _check_conv2d),
-    ("conv2d_strided", _check_conv2d_strided),
-    ("relu", _check_relu),
-    ("sigmoid", _check_sigmoid),
-    ("add", _check_add),
-    ("slice_channels", _check_slice_channels),
-    ("group_mean_channels", _check_group_mean),
-    ("combine_scalars", _check_combine_scalars),
-    ("deform_aggregate", _check_deform),
-    ("hna_loss", _check_hna_loss),
-    ("centernet_focal", _check_focal),
-    ("matching_loss", _check_matching_loss),
-    ("detection_losses", _check_detection_losses),
-]
+    return func, [("center", center), ("wh", wh), ("reg", reg)]
 
 
 def standard_checks(op: str | None = None, seeds=range(3)) -> list[GradCheckReport]:
-    selected = [(n, f) for n, f in CHECKS if op is None or n == op]
+    """Run the battery (or only ``op``'s check) once per seed, each on a fresh rng."""
+    selected = [(n, b) for n, b in CHECKS if op is None or n == op]
     if not selected:
         known = ", ".join(n for n, _ in CHECKS)
         raise ValueError(f"unknown op {op!r}; known: {known}")
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise ValueError("no seeds given: the seed range is empty")
     reports = []
-    for n, f in selected:
+    for name, build in selected:
         for seed in seeds:
-            r = f(int(seed))
-            r.name = f"{n}[seed={seed}]"
-            reports.append(r)
+            rng = np.random.default_rng(seed)
+            func, wrt = build(rng)
+            reports.append(finite_diff_check(func, wrt, rng=rng, name=f"{name}[seed={seed}]"))
     return reports

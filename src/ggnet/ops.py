@@ -310,14 +310,14 @@ def _sampling(xs: np.ndarray, ys: np.ndarray, h: int, w: int) -> _Sampling:
 def _corners(data: np.ndarray, rec: _Sampling):
     """Yield the four corner reads of contiguous (B, C, H, W) data one at a time:
     (B, C, ...) float64 from one flat ``np.take`` at index + (batch*C + channel)*H*W;
-    an invalid corner reads pixel 0 of its plane times False (zero, that sign)."""
+    an invalid corner reads +0.0, whatever its plane holds."""
     b, c, h, w = data.shape
     flat = data.reshape(-1)
     plane = (np.arange(b * c, dtype=np.int64) * (h * w)).reshape(b, c, 1)
     for idx, ok in zip(rec.index, rec.valid):
         v = np.take(flat, idx.reshape(b, 1, -1) + plane)
         v = v.reshape(b, c, *idx.shape[1:]).astype(np.float64)
-        v *= ok[:, None]
+        np.copyto(v, 0.0, where=~ok[:, None])
         yield v
 
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import colorsys
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,14 +21,6 @@ import numpy as np
 
 from .losses import HoiAnnotation, HoiCategoryTable, format_annotation, parse_annotations, save_table
 from .tensor import ConfigError, Tensor, load_ggt, save_ggt
-
-
-def worker_count() -> int:
-    """Thread cap from GGNET_THREADS; defaults to 1 (fully deterministic)."""
-    try:
-        return max(1, int(os.environ.get("GGNET_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -169,9 +159,9 @@ def make_dataset(spec: SceneSpec, out_dir, n_train: int = 200, n_test: int = 50)
     """Write images/*.ggt, annos/*.txt, table.txt, manifest.txt.
 
     Rare categories are capped under 10 training instances by pre-assigning
-    each one rare_cap train images where it may appear (at most once each);
-    that keeps generation independent per image, so threading cannot change
-    the output.
+    each one rare_cap train images where it may appear (at most once each).
+    Every image is seeded by (seed, split, index) alone, so no image depends
+    on the order in which the others are generated.
     """
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
@@ -185,35 +175,22 @@ def make_dataset(spec: SceneSpec, out_dir, n_train: int = 200, n_test: int = 50)
         picked = alloc_rng.choice(n_train, size=min(spec.rare_cap, n_train), replace=False)
         allowance[pair] = frozenset(int(i) for i in picked)
 
-    jobs = []
     manifest_lines = []
     for split_tag, split, count in ((0, "train", n_train), (1, "test", n_test)):
         for idx in range(count):
             image_id = f"{split}_{idx:04d}"
             manifest_lines.append(f"{split} {image_id}")
-            jobs.append((split_tag, split, idx, image_id))
-
-    def build(job) -> None:
-        split_tag, split, idx, image_id = job
-        rng = np.random.default_rng([spec.seed, split_tag, idx])
-        if split == "train":
-            allowed = [p for p in pairs if p not in table.rare or idx in allowance[p]]
-            once = table.rare
-        else:
-            allowed, once = pairs, frozenset()
-        image, annos = generate_scene(spec, rng, allowed, once)
-        save_ggt(out / "images" / f"{image_id}.ggt", image)
-        with open(out / "annos" / f"{image_id}.txt", "w") as f:
-            for a in annos:
-                f.write(format_annotation(image_id, a) + "\n")
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            list(pool_exec.map(build, jobs))
-    else:
-        for job in jobs:
-            build(job)
+            rng = np.random.default_rng([spec.seed, split_tag, idx])
+            if split == "train":
+                allowed = [p for p in pairs if p not in table.rare or idx in allowance[p]]
+                once = table.rare
+            else:
+                allowed, once = pairs, frozenset()
+            image, annos = generate_scene(spec, rng, allowed, once)
+            save_ggt(out / "images" / f"{image_id}.ggt", image)
+            with open(out / "annos" / f"{image_id}.txt", "w") as f:
+                for a in annos:
+                    f.write(format_annotation(image_id, a) + "\n")
     with open(out / "manifest.txt", "w") as f:
         f.write("\n".join(manifest_lines) + "\n")
     return table

@@ -27,15 +27,6 @@ def write_ppm(path, rgb: np.ndarray) -> None:
         f.write(rgb.tobytes())
 
 
-def read_ppm_size(path) -> tuple[int, int]:
-    with open(path, "rb") as f:
-        magic = f.readline().strip()
-        if magic != b"P6":
-            raise ValueError(f"not a binary pixmap: {magic!r}")
-        dims = f.readline().split()
-        return int(dims[0]), int(dims[1])
-
-
 def _put(rgb: np.ndarray, x: int, y: int, color) -> None:
     h, w, _ = rgb.shape
     if 0 <= x < w and 0 <= y < h:

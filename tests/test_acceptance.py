@@ -355,8 +355,7 @@ def test_criterion_09_inference_graph_equivalence(criterion_report):
 
 # ===== criterion 10: bitwise reproducibility =====
 
-def test_criterion_10_reproducibility(criterion_report, tmp_path, monkeypatch):
-    monkeypatch.delenv("GGNET_THREADS", raising=False)
+def test_criterion_10_reproducibility(criterion_report, tmp_path):
     data = tmp_path / "data"
     make_dataset(SceneSpec(seed=3, image_size=48), data, n_train=12, n_test=4)
     cfg = TrainConfig(epochs=2, decay_epoch=1, batch_size=4, channels=8,
@@ -385,8 +384,7 @@ ABLATION_ROWS = [
 ]
 
 
-def test_criterion_08_ablation_ordering(criterion_report, tmp_path, monkeypatch):
-    monkeypatch.delenv("GGNET_THREADS", raising=False)
+def test_criterion_08_ablation_ordering(criterion_report, tmp_path):
     t0 = time.perf_counter()
     data = tmp_path / "default_scenes"
     make_dataset(SceneSpec(), data)  # the default dataset: 200 train / 50 test

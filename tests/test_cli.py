@@ -9,7 +9,17 @@ import pytest
 from ggnet.cli import main
 from ggnet.model import GGNet, ModelConfig
 from ggnet.tensor import MAGIC, Tensor
-from ggnet.viz import read_ppm_size, tensor_to_rgb8, write_ppm
+from ggnet.viz import tensor_to_rgb8, write_ppm
+
+
+def read_ppm_size(path) -> tuple[int, int]:
+    """(width, height) from a binary pixmap header."""
+    with open(path, "rb") as f:
+        magic = f.readline().strip()
+        if magic != b"P6":
+            raise ValueError(f"not a binary pixmap: {magic!r}")
+        dims = f.readline().split()
+        return int(dims[0]), int(dims[1])
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +102,12 @@ def test_cli_errors_exit_two(workdir, capsys):
     bad_cfg.write_text("image_sz = 48\n")
     assert main(["synth", "--config", str(bad_cfg), "--out", str(workdir / "x")]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+    for seeds in ("0", "-3"):
+        assert main(["gradcheck", "--seeds", seeds]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "seed range is empty" in captured.err
 
 
 def test_cli_visualize_corrupt_image_exits_two(tmp_path, capsys):

@@ -25,6 +25,9 @@ def test_single_op_selection_and_unknown_name():
     assert [r.name for r in reports] == ["conv2d[seed=0]", "conv2d[seed=1]"]
     with pytest.raises(ValueError, match="unknown op"):
         standard_checks(op="convolve9000")
+    for empty in (range(0), range(-3)):
+        with pytest.raises(ValueError, match="seed range is empty"):
+            standard_checks(op="conv2d", seeds=empty)
 
 
 def test_check_battery_covers_all_differentiable_ops():

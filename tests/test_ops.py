@@ -1,5 +1,7 @@
 """Kernel ops against the brute-force oracles, plus op-level contracts."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,10 @@ def test_bilinear_zero_outside_map():
     assert ops.bilinear_sample(fm, 2.0, 5.0, 0) == 0.0
     # half a pixel outside blends toward zero
     assert ops.bilinear_sample(fm, -0.5, 2.0, 0) == pytest.approx(0.5)
+    # all four corners off a negative map: the zero is +0.0, as the oracle's
+    neg = np.full((3, 3), -2.0, np.float32)
+    got = ops.bilinear_sample(Tensor.from_array(neg[None, None]), -10.0, -10.0, 0)
+    assert math.copysign(1.0, got) == math.copysign(1.0, bilinear_ref(neg, -10.0, -10.0)) == 1.0
 
 
 # ===== deform_aggregate =====

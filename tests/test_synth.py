@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ggnet
 from ggnet.synth import (
     SceneSpec,
     build_table,
@@ -16,7 +17,6 @@ from ggnet.synth import (
     make_dataset,
     meaningful_pairs,
     verb_direction,
-    worker_count,
 )
 from ggnet.tensor import ConfigError
 
@@ -172,24 +172,10 @@ def test_make_dataset_bitwise_deterministic(tmp_path):
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
 
 
-def test_make_dataset_threading_does_not_change_bytes(tmp_path, monkeypatch):
-    out1 = _build(tmp_path, "d5")
-    monkeypatch.setenv("GGNET_THREADS", "3")
-    assert worker_count() == 3
-    out2 = _build(tmp_path, "d6")
-    files1 = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
-    files2 = sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
-    assert files1 == files2
-    for rel in files1:
-        assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
-
-
-def test_worker_count_parsing(monkeypatch):
-    monkeypatch.delenv("GGNET_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("GGNET_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("GGNET_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("GGNET_THREADS", "lots")
-    assert worker_count() == 1
+def test_no_module_reads_environment_variables():
+    # behaviour is set by arguments and config files only, never by the environment
+    src = Path(ggnet.__file__).parent
+    readers = [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
+               for n, line in enumerate(path.read_text().splitlines(), 1)
+               if "os.environ" in line or "getenv" in line]
+    assert not readers, readers
