@@ -12,8 +12,8 @@ from .evaluator import evaluate
 from .gradcheck import standard_checks
 from .losses import DataError, load_table
 from .model import GGNet
-from .synth import SceneSpec, load_split, make_dataset
-from .tensor import ConfigError, ShapeError, load_ggt
+from .synth import SceneSpec, check_finite, load_split, make_dataset
+from .tensor import ConfigError, ShapeError, Tensor, load_ggt
 from .train import load_train_config, run_inference, train
 from .viz import visualize
 
@@ -52,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("visualize", help="overlay points/boxes on one image")
     vp.add_argument("--ckpt", required=True)
-    vp.add_argument("--image", required=True, help="input .ggt image")
+    vp.add_argument("--image", required=True, help="input .ggt file of one or more images")
+    vp.add_argument("--index", type=int, default=0, help="which image of the file to show")
     vp.add_argument("--out", required=True, help="output .ppm file")
     return p
 
@@ -114,7 +115,12 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_visualize(args) -> int:
     model = GGNet.load(args.ckpt)
-    image = load_ggt(args.image)
+    pack = load_ggt(args.image).data
+    if not 0 <= args.index < len(pack):
+        raise ConfigError(f"--index {args.index} is out of range: "
+                          f"{args.image} holds {len(pack)} images")
+    image = Tensor.from_array(pack[args.index:args.index + 1], requires_grad=False)
+    check_finite(image.data, args.image)
     summary = visualize(model, image, args.out)
     if summary["interaction"] is None:
         print(f"no interaction peak; wrote plain image to {args.out}")

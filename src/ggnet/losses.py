@@ -19,7 +19,8 @@ from .tensor import ShapeError, Tensor, active_tape
 
 
 class DataError(ValueError):
-    """Annotation inconsistent with the category table."""
+    """Dataset content is invalid: an annotation inconsistent with the
+    category table or its split, or an image with non-finite pixels."""
 
 
 Box = tuple[float, float, float, float]

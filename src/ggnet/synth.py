@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .losses import HoiAnnotation, HoiCategoryTable, format_annotation, parse_annotations, save_table
+from .losses import (DataError, HoiAnnotation, HoiCategoryTable, format_annotation,
+                     parse_annotations, save_table)
 from .tensor import ConfigError, Tensor, load_ggt, save_ggt
 
 
@@ -156,12 +157,13 @@ def generate_scene(spec: SceneSpec, rng, pairs=None, draw_once=frozenset()):
 
 
 def make_dataset(spec: SceneSpec, out_dir, n_train: int = 200, n_test: int = 50) -> HoiCategoryTable:
-    """Write images/*.ggt, annos/*.txt, table.txt, manifest.txt.
+    """Write images/<split>.ggt, annos/<split>.txt, table.txt, manifest.txt.
 
-    Rare categories are capped under 10 training instances by pre-assigning
-    each one rare_cap train images where it may appear (at most once each).
-    Every image is seeded by (seed, split, index) alone, so no image depends
-    on the order in which the others are generated.
+    Each split is one (N, 3, s, s) image pack and one annotation file, in
+    manifest order. Rare categories are capped under 10 training instances by
+    pre-assigning each one rare_cap train images where it may appear (at most
+    once each). Every image is seeded by (seed, split, index) alone, so no
+    image depends on the order in which the others are generated.
     """
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
@@ -176,7 +178,10 @@ def make_dataset(spec: SceneSpec, out_dir, n_train: int = 200, n_test: int = 50)
         allowance[pair] = frozenset(int(i) for i in picked)
 
     manifest_lines = []
+    size = spec.image_size
     for split_tag, split, count in ((0, "train", n_train), (1, "test", n_test)):
+        pack = np.empty((count, 3, size, size), np.float32)
+        anno_lines = []
         for idx in range(count):
             image_id = f"{split}_{idx:04d}"
             manifest_lines.append(f"{split} {image_id}")
@@ -187,10 +192,10 @@ def make_dataset(spec: SceneSpec, out_dir, n_train: int = 200, n_test: int = 50)
             else:
                 allowed, once = pairs, frozenset()
             image, annos = generate_scene(spec, rng, allowed, once)
-            save_ggt(out / "images" / f"{image_id}.ggt", image)
-            with open(out / "annos" / f"{image_id}.txt", "w") as f:
-                for a in annos:
-                    f.write(format_annotation(image_id, a) + "\n")
+            pack[idx] = image.data[0]
+            anno_lines.extend(format_annotation(image_id, a) + "\n" for a in annos)
+        save_ggt(out / "images" / f"{split}.ggt", Tensor.from_array(pack))
+        (out / "annos" / f"{split}.txt").write_text("".join(anno_lines))
     with open(out / "manifest.txt", "w") as f:
         f.write("\n".join(manifest_lines) + "\n")
     return table
@@ -216,18 +221,33 @@ def load_manifest(data_dir) -> dict[str, list[str]]:
     return splits
 
 
-def load_sample(data_dir, image_id: str, with_image: bool = True) -> SceneSample:
-    root = Path(data_dir)
-    image = load_ggt(root / "images" / f"{image_id}.ggt") if with_image else None
-    if image is not None:
-        image.requires_grad = False
-    with open(root / "annos" / f"{image_id}.txt") as f:
-        annos = parse_annotations(f).get(image_id, [])
-    return SceneSample(image_id, image, annos)
+def check_finite(pixels: np.ndarray, path) -> None:
+    """Reject NaN or infinite pixels, naming the file they came from."""
+    if not np.isfinite(pixels).all():
+        raise DataError(f"{path}: image holds non-finite pixel values")
 
 
 def load_split(data_dir, split: str, with_images: bool = True) -> list[SceneSample]:
-    splits = load_manifest(data_dir)
+    """The split's samples in manifest order; each image is a (1, 3, s, s)
+    view into the split's one image pack."""
+    root = Path(data_dir)
+    splits = load_manifest(root)
     if split not in splits:
         raise ConfigError(f"split {split!r} not in manifest (have {sorted(splits)})")
-    return [load_sample(data_dir, image_id, with_images) for image_id in splits[split]]
+    ids = splits[split]
+    anno_path = root / "annos" / f"{split}.txt"
+    with open(anno_path) as f:
+        annos = parse_annotations(f)
+    stray = sorted(annos.keys() - set(ids))
+    if stray:
+        raise DataError(f"{anno_path}: image id {stray[0]!r} is not in split {split!r}")
+    images = [None] * len(ids)
+    if with_images:
+        pack_path = root / "images" / f"{split}.ggt"
+        pack = load_ggt(pack_path).data
+        if len(pack) != len(ids):
+            raise ConfigError(f"{pack_path} holds {len(pack)} images, manifest lists {len(ids)}")
+        check_finite(pack, pack_path)
+        images = [Tensor.from_array(pack[i:i + 1], requires_grad=False) for i in range(len(ids))]
+    return [SceneSample(image_id, image, annos.get(image_id, []))
+            for image_id, image in zip(ids, images)]

@@ -146,7 +146,7 @@ def tape() -> Iterator[Tape]:
 def write_tensor(f, t: Tensor) -> None:
     f.write(MAGIC)
     f.write(struct.pack("<4I", *t.shape))
-    f.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+    f.write(np.ascontiguousarray(t.data, dtype="<f4").data)  # the buffer itself, no copy
 
 
 def read_tensor(f) -> Tensor:
@@ -162,8 +162,9 @@ def read_tensor(f) -> Tensor:
     f.seek(start)
     if size > left:  # checked before reading: a corrupt header may name exabytes
         raise ValueError(f"truncated GGT1 payload: wanted {size} bytes, got {left}")
-    arr = np.frombuffer(f.read(size), dtype="<f4").reshape(shape)
-    return Tensor(shape, arr.copy())
+    arr = np.empty(shape, dtype="<f4")
+    f.readinto(arr.data)  # straight into the array: no bytes object to copy out of
+    return Tensor(shape, arr)
 
 
 def save_ggt(path, t: Tensor) -> None:

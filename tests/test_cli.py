@@ -6,9 +6,11 @@ import struct
 import numpy as np
 import pytest
 
+from ggnet import cli
 from ggnet.cli import main
 from ggnet.model import GGNet, ModelConfig
-from ggnet.tensor import MAGIC, Tensor
+from ggnet.synth import SceneSpec, make_dataset
+from ggnet.tensor import MAGIC, Tensor, load_ggt, save_ggt
 from ggnet.viz import tensor_to_rgb8, write_ppm
 
 
@@ -78,11 +80,18 @@ def test_cli_full_chain(workdir, capsys):
 
     ppm = workdir / "overlay.ppm"
     assert main(["visualize", "--ckpt", str(ckpt),
-                 "--image", str(data / "images" / "test_0000.ggt"),
+                 "--image", str(data / "images" / "test.ggt"), "--index", "1",
                  "--out", str(ppm)]) == 0
     out = capsys.readouterr().out
     assert "wrote" in out
     assert read_ppm_size(ppm) == (48, 48)
+
+    for index in ("4", "-1"):
+        assert main(["visualize", "--ckpt", str(ckpt),
+                     "--image", str(data / "images" / "test.ggt"), "--index", index,
+                     "--out", str(workdir / "none.ppm")]) == 2
+        assert f"--index {index} is out of range" in capsys.readouterr().err
+        assert not (workdir / "none.ppm").exists()
 
 
 def test_cli_gradcheck_subcommand(capsys):
@@ -112,13 +121,89 @@ def test_cli_errors_exit_two(workdir, capsys):
 
 def test_cli_visualize_corrupt_image_exits_two(tmp_path, capsys):
     ckpt = tmp_path / "tiny.ckpt"
-    GGNet(ModelConfig(num_verbs=2, num_objects=2, channels=4, stride=4,
-                      num_points=9, input_size=16)).save(ckpt)
+    _tiny_model(ckpt)
     bad = tmp_path / "bad.ggt"
     bad.write_bytes(MAGIC + struct.pack("<4I", 2**31, 2**31, 1, 1))
     assert main(["visualize", "--ckpt", str(ckpt), "--image", str(bad),
                  "--out", str(tmp_path / "bad.ppm")]) == 2
     assert capsys.readouterr().err.startswith("error: truncated GGT1 payload")
+
+
+def _tiny_model(path, input_size=16):
+    GGNet(ModelConfig(num_verbs=2, num_objects=2, channels=4, stride=4,
+                      num_points=9, input_size=input_size)).save(path)
+
+
+def test_cli_visualize_forwards_only_the_chosen_image(tmp_path, capsys, monkeypatch):
+    ckpt = tmp_path / "tiny.ckpt"
+    _tiny_model(ckpt)
+    rng = np.random.default_rng(0)
+    pack = rng.uniform(0, 1, (3, 3, 16, 16)).astype(np.float32)
+    pack[0] = np.nan  # never read when another image is picked
+    path = tmp_path / "three.ggt"
+    save_ggt(path, Tensor.from_array(pack))
+    seen = []
+    monkeypatch.setattr(cli, "visualize", lambda model, image, out: seen.append(
+        image.data.copy()) or {"interaction": None})
+    assert main(["visualize", "--ckpt", str(ckpt), "--image", str(path), "--index", "2",
+                 "--out", str(tmp_path / "v.ppm")]) == 0
+    capsys.readouterr()
+    assert len(seen) == 1 and seen[0].shape == (1, 3, 16, 16)
+    assert seen[0].tobytes() == pack[2:3].tobytes()
+
+
+def test_cli_non_finite_image_exits_two(tmp_path, capsys):
+    ckpt = tmp_path / "tiny.ckpt"
+    _tiny_model(ckpt)
+    path = tmp_path / "nan.ggt"
+    save_ggt(path, Tensor.from_array(np.full((1, 3, 16, 16), np.nan, np.float32)))
+    assert main(["visualize", "--ckpt", str(ckpt), "--image", str(path),
+                 "--out", str(tmp_path / "nan.ppm")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nan.ggt" in err and "non-finite" in err
+    assert not (tmp_path / "nan.ppm").exists()
+
+
+@pytest.fixture
+def corrupt_split(tmp_path):
+    """A small dataset, a checkpoint, and a function that runs infer on its test split."""
+    data = tmp_path / "data"
+    make_dataset(SceneSpec(seed=1, image_size=48), data, n_train=2, n_test=3)
+    ckpt = tmp_path / "tiny.ckpt"
+    _tiny_model(ckpt, input_size=48)
+
+    def infer():
+        return main(["infer", "--ckpt", str(ckpt), "--data", str(data),
+                     "--out", str(tmp_path / "trips.txt")])
+    return data / "images" / "test.ggt", infer
+
+
+def test_cli_infer_truncated_pack_exits_two(corrupt_split, capsys):
+    pack, infer = corrupt_split
+    raw = pack.read_bytes()
+    pack.write_bytes(raw[:-100])
+    assert infer() == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: truncated GGT1 payload")
+
+
+def test_cli_infer_pack_count_mismatch_exits_two(corrupt_split, capsys):
+    pack, infer = corrupt_split
+    save_ggt(pack, Tensor.from_array(load_ggt(pack).data[:2]))
+    assert infer() == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "holds 2 images, manifest lists 3" in err
+
+
+def test_cli_infer_non_finite_pack_exits_two(corrupt_split, capsys):
+    pack, infer = corrupt_split
+    images = load_ggt(pack).data
+    images[2, 0, 0, 0] = np.inf
+    save_ggt(pack, Tensor.from_array(images))
+    assert infer() == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "test.ggt" in err and "non-finite" in err
 
 
 def test_ppm_roundtrip(tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ggnet import ops
 from ggnet.tensor import ConfigError, ShapeError, Tensor, tape
@@ -41,6 +43,30 @@ def test_conv2d_matches_oracle(shape, cout, k, stride, pad):
     want = conv2d_ref(x.data, p.weight.data, p.bias.data.reshape(-1), stride, pad)
     assert got.shape == want.shape
     np.testing.assert_allclose(got.data, want, atol=1e-6)
+
+
+@st.composite
+def _conv_case(draw):
+    k = draw(st.sampled_from([1, 2, 3, 5]))
+    stride, pad = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    least = max(1, k - 2 * pad)  # smallest input with one output pixel
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3)),
+             draw(st.integers(least, least + 6)), draw(st.integers(least, least + 6)))
+    return shape, draw(st.integers(1, 3)), k, stride, pad, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_conv_case())
+def test_conv2d_matches_oracle_over_random_geometry(case):
+    shape, cout, k, stride, pad, seed = case
+    rng = np.random.default_rng(seed)
+    x = _t(rng, shape)
+    p = ops.ConvParams(_t(rng, (cout, shape[1], k, k)), rng.uniform(-1, 1, cout),
+                       stride=stride, padding=pad)
+    got = ops.conv2d(x, p)
+    want = conv2d_ref(x.data, p.weight.data, p.bias.data.reshape(-1), stride, pad)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got.data, want, atol=1e-5)
 
 
 def test_conv2d_validates_channels_and_size():
@@ -316,6 +342,30 @@ def test_topk_matches_oracle_and_breaks_ties_by_index():
     assert got == [(pytest.approx(s), c, y, x) for s, c, y, x in want]
     scores = [s for s, *_ in got]
     assert scores == sorted(scores, reverse=True)
+
+
+@st.composite
+def _peak_maps(draw, levels):
+    """Float32 maps mixing quantised levels (ties, plateaus) with free values."""
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3)),
+             draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    free = rng.uniform(-1.0, 1.0, shape)
+    return np.where(rng.random(shape) < 0.6, rng.choice(levels, shape), free).astype(np.float32)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_peak_maps([0.0, 0.5, 1.0, -np.inf, np.inf, np.nan]))
+def test_maxpool_nms_matches_oracle_over_random_maps(x):
+    got = ops.maxpool_nms(Tensor.from_array(x)).data
+    assert np.array_equal(got, maxpool_nms_ref(x))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_peak_maps([0.0, 0.5, 1.0, -np.inf, np.inf]), st.integers(1, 200), st.integers(0, 1))
+def test_topk_matches_oracle_over_random_maps(x, k, batch):
+    batch = min(batch, x.shape[0] - 1)
+    assert ops.topk(Tensor.from_array(x), k, batch) == topk_ref(x[batch], k)
 
 
 def test_topk_clips_k_and_rejects_nonpositive():

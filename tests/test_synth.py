@@ -12,13 +12,13 @@ from ggnet.synth import (
     build_table,
     generate_scene,
     load_manifest,
-    load_sample,
     load_split,
     make_dataset,
     meaningful_pairs,
     verb_direction,
 )
-from ggnet.tensor import ConfigError
+from ggnet.losses import DataError
+from ggnet.tensor import ConfigError, Tensor, load_ggt, save_ggt
 
 
 # ===== spec and table =====
@@ -136,9 +136,12 @@ def test_make_dataset_layout_and_loaders(tmp_path):
     splits = load_manifest(out)
     assert [len(splits["train"]), len(splits["test"])] == [24, 8]
     assert splits["train"][0] == "train_0000"
-    assert len(list((out / "images").glob("*.ggt"))) == 32
-    assert len(list((out / "annos").glob("*.txt"))) == 32
-    sample = load_sample(out, "test_0003")
+    assert sorted(p.name for p in (out / "images").iterdir()) == ["test.ggt", "train.ggt"]
+    assert sorted(p.name for p in (out / "annos").iterdir()) == ["test.txt", "train.txt"]
+    assert load_ggt(out / "images" / "train.ggt").shape == (24, 3, 48, 48)
+    assert load_ggt(out / "images" / "test.ggt").shape == (8, 3, 48, 48)
+    sample = load_split(out, "test")[3]
+    assert sample.image_id == "test_0003"
     assert sample.image.shape == (1, 3, 48, 48)
     assert not sample.image.requires_grad
     train = load_split(out, "train", with_images=False)
@@ -167,9 +170,53 @@ def test_make_dataset_respects_rare_cap(tmp_path):
 def test_make_dataset_bitwise_deterministic(tmp_path):
     out1 = _build(tmp_path, "d3")
     out2 = _build(tmp_path, "d4")
-    for rel in ["manifest.txt", "table.txt", "images/train_0000.ggt",
-                "images/test_0007.ggt", "annos/train_0011.txt"]:
+    for rel in ["manifest.txt", "table.txt", "images/train.ggt", "images/test.ggt",
+                "annos/train.txt", "annos/test.txt"]:
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
+
+
+def test_load_split_gives_each_generated_scene(tmp_path):
+    # without rare categories every image is generate_scene over the full
+    # pair pool, seeded by (seed, split, index)
+    spec = SceneSpec(seed=5, image_size=48, rare_fraction=0.0)
+    out = tmp_path / "d5"
+    make_dataset(spec, out, n_train=6, n_test=4)
+    for split_tag, split, count in ((0, "train", 6), (1, "test", 4)):
+        samples = load_split(out, split)
+        assert [s.image_id for s in samples] == [f"{split}_{i:04d}" for i in range(count)]
+        for idx, sample in enumerate(samples):
+            image, annos = generate_scene(spec, np.random.default_rng([5, split_tag, idx]))
+            assert sample.image.data.tobytes() == image.data.tobytes()
+            assert not sample.image.requires_grad
+            assert sample.annotations == annos
+        assert load_split(out, split, with_images=False)[1].annotations == samples[1].annotations
+
+
+def test_load_split_rejects_inconsistent_files(tmp_path):
+    out = _build(tmp_path, "d6")
+    annos = out / "annos" / "test.txt"
+    good = annos.read_text()
+    annos.write_text(good + good.splitlines()[0].replace("test_", "train_", 1) + "\n")
+    for with_images in (True, False):
+        with pytest.raises(DataError, match="not in split 'test'"):
+            load_split(out, "test", with_images=with_images)
+    annos.write_text(good)
+
+    pack_path = out / "images" / "test.ggt"
+    pack = load_ggt(pack_path).data
+    save_ggt(pack_path, Tensor.from_array(pack[:7]))
+    with pytest.raises(ConfigError, match="holds 7 images, manifest lists 8"):
+        load_split(out, "test")
+    assert len(load_split(out, "test", with_images=False)) == 8  # the pack is not read
+
+    pack[5, 1, 2, 3] = np.nan
+    save_ggt(pack_path, Tensor.from_array(pack))
+    with pytest.raises(DataError, match="test.ggt: image holds non-finite"):
+        load_split(out, "test")
+    pack[5, 1, 2, 3] = -np.inf
+    save_ggt(pack_path, Tensor.from_array(pack))
+    with pytest.raises(DataError, match="non-finite"):
+        load_split(out, "test")
 
 
 def test_no_module_reads_environment_variables():

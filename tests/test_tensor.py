@@ -123,6 +123,25 @@ def test_ggt_record_layout():
     assert np.array_equal(read_tensor(buf).data, t.data)
 
 
+@pytest.mark.parametrize("shape", [(3, 2, 4, 5), (0, 3, 8, 8), (1, 0, 1, 1)])
+def test_ggt_stream_roundtrip_gives_a_private_writable_array(shape):
+    rng = np.random.default_rng(2)
+    t = Tensor.from_array(rng.normal(size=shape).astype(np.float32))
+    buf = io.BytesIO()
+    write_tensor(buf, t)
+    raw = buf.getvalue()
+    assert len(raw) == 4 + 16 + 4 * t.size
+    f = io.BytesIO(raw)
+    back = read_tensor(f)
+    assert f.tell() == len(raw)
+    assert back.shape == shape and back.data.dtype == np.float32
+    assert np.array_equal(back.data, t.data)
+    assert back.data.flags.writeable and back.data.flags.c_contiguous
+    assert not np.shares_memory(back.data, np.frombuffer(raw, np.uint8))
+    back.data[...] = 7.0  # writing the loaded copy leaves the record intact
+    assert np.array_equal(read_tensor(io.BytesIO(raw)).data, t.data)
+
+
 def test_read_tensor_rejects_bad_magic():
     with pytest.raises(ValueError, match="magic"):
         read_tensor(io.BytesIO(b"NOPE" + b"\x00" * 32))
