@@ -11,7 +11,6 @@ is array code over all peaks at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -42,15 +41,6 @@ def _drop(reason: str, n) -> None:
         drop_counts[reason] = drop_counts.get(reason, 0) + int(n)
 
 
-class PointCandidate(NamedTuple):
-    """One surviving heatmap peak."""
-
-    score: float
-    channel: int
-    x: int
-    y: int
-
-
 @dataclass(frozen=True)
 class HoiTriplet:
     human_box: Box
@@ -60,26 +50,20 @@ class HoiTriplet:
     score: float
 
 
-def select_candidates(heatmap: Tensor, k: int = 100, batch: int = 0) -> list[PointCandidate]:
+def select_candidates(heatmap: Tensor, k: int = 100, batch: int = 0) -> np.ndarray:
     """Peak-isolate one image with a 3x3 max filter, then take its k best
-    pixels across all channels. Suppressed (zeroed) pixels never become
-    candidates."""
-    peaks = maxpool_nms(Tensor.from_array(heatmap.data[batch][None]))
-    return [PointCandidate(score, channel, x, y)
-            for score, channel, y, x in topk(peaks, k) if score > 0.0]
-
-
-def _pool(cands: list[PointCandidate]) -> np.ndarray:
-    """Candidates as float64 rows (score, channel, x, y), one column each."""
-    return np.array(cands, dtype=np.float64).reshape(-1, 4).T
+    pixels across all channels as ``topk`` rows (score, channel, y, x).
+    Suppressed (zeroed) pixels never become candidates."""
+    rows = topk(maxpool_nms(Tensor.from_array(heatmap.data[batch][None])), k)
+    return rows[rows[:, 0] > 0.0]
 
 
 def _nearest(tx: np.ndarray, ty: np.ndarray, pool: np.ndarray, norm: str) -> np.ndarray:
-    """Per target, the index of the pool candidate minimizing distance over
-    score. The pool is in selection order (descending score, then ascending
-    index), so argmin's first minimum breaks a cost tie toward the higher
-    score, then the earlier candidate."""
-    score, _, x, y = pool
+    """Per target, the index of the pool row minimizing distance over score.
+    The pool is in selection order (descending score, then ascending index),
+    so argmin's first minimum breaks a cost tie toward the higher score, then
+    the earlier row."""
+    score, _, y, x = pool.T
     dx = np.abs(tx[:, None] - x)
     dy = np.abs(ty[:, None] - y)
     if norm == "l1":
@@ -91,17 +75,16 @@ def _nearest(tx: np.ndarray, ty: np.ndarray, pool: np.ndarray, norm: str) -> np.
     return np.argmin(dist / score, axis=1)
 
 
-def match_point(ip: PointCandidate, apm_offset: tuple[float, float],
-                candidates: list[PointCandidate], norm: str = "l1") -> PointCandidate:
-    """Candidate minimizing distance-to-target over its own score, where the
-    target is the interaction point minus the predicted offset. Ties go to the
-    higher-scoring candidate, then to the earlier one in the given order."""
-    if not candidates:
+def match_point(x: float, y: float, apm_offset: tuple[float, float], pool: np.ndarray,
+                norm: str = "l1") -> int:
+    """Index of the pool row minimizing distance-to-target over its own score,
+    where the target is (x, y) minus the predicted offset. Ties go to the
+    higher-scoring row, then to the earlier one in the given order."""
+    if len(pool) == 0:
         raise NoCandidateError("no candidates to match against")
-    ranked = sorted(candidates, key=lambda c: -c.score)
-    tx = np.array([ip.x - apm_offset[0]])
-    ty = np.array([ip.y - apm_offset[1]])
-    return ranked[int(_nearest(tx, ty, _pool(ranked), norm)[0])]
+    ranked = np.argsort(-pool[:, 0], kind="stable")
+    tx, ty = np.array([x - apm_offset[0]]), np.array([y - apm_offset[1]])
+    return int(ranked[_nearest(tx, ty, pool[ranked], norm)[0]])
 
 
 def _decode_boxes(x: np.ndarray, y: np.ndarray, wh: np.ndarray, reg: np.ndarray,
@@ -122,11 +105,11 @@ def _decode_boxes(x: np.ndarray, y: np.ndarray, wh: np.ndarray, reg: np.ndarray,
     return boxes, ~bad
 
 
-def decode_box(center: PointCandidate, det_wh: Tensor, det_reg: Tensor,
+def decode_box(x: int, y: int, det_wh: Tensor, det_reg: Tensor,
                stride: int, batch: int = 0) -> Box | None:
-    """Center candidate -> input-image-pixel box, clamped to image bounds.
+    """Center pixel (x, y) -> input-image-pixel box, clamped to image bounds.
     Returns None for degenerate (nonpositive-size) boxes."""
-    boxes, ok = _decode_boxes(np.array([center.x], np.float64), np.array([center.y], np.float64),
+    boxes, ok = _decode_boxes(np.array([x], np.float64), np.array([y], np.float64),
                               det_wh.data[batch], det_reg.data[batch], stride)
     return tuple(boxes[0].tolist()) if ok[0] else None
 
@@ -151,32 +134,29 @@ def assemble_triplets(outputs: ForwardOutputs, stride: int, k: int = 100,
     interactions = select_candidates(outputs.interaction_map, k, batch=batch)
     humans = select_candidates(Tensor.from_array(det[:, :1]), k)
     objects = select_candidates(Tensor.from_array(det[:, 1:]), k)
-    if not interactions:
-        return []
-    if not humans or not objects:
+    if len(interactions) == 0 or len(humans) == 0 or len(objects) == 0:
         _drop("empty_pool", len(interactions))
         return []
-    ip_score, verb, x, y = _pool(interactions)
+    ip_score, verb, y, x = interactions.T
     verb = verb.astype(np.intp)
     grp = verb if outputs.match_groups > 1 else np.zeros_like(verb)
     rows = 4 * grp[:, None] + np.arange(4)
     off = outputs.match_offsets.data[batch][rows, y.astype(np.intp)[:, None],
                                             x.astype(np.intp)[:, None]].astype(np.float64)
-    hum, obj = _pool(humans), _pool(objects)
-    hi = _nearest(x - off[:, 0], y - off[:, 1], hum, norm)
-    oi = _nearest(x - off[:, 2], y - off[:, 3], obj, norm)
+    hum = humans[_nearest(x - off[:, 0], y - off[:, 1], humans, norm)]
+    obj = objects[_nearest(x - off[:, 2], y - off[:, 3], objects, norm)]
     wh, reg = outputs.det_wh.data[batch], outputs.det_reg.data[batch]
-    human_box, human_ok = _decode_boxes(hum[2, hi], hum[3, hi], wh, reg, stride)
-    object_box, object_ok = _decode_boxes(obj[2, oi], obj[3, oi], wh, reg, stride)
+    human_box, human_ok = _decode_boxes(hum[:, 3], hum[:, 2], wh, reg, stride)
+    object_box, object_ok = _decode_boxes(obj[:, 3], obj[:, 2], wh, reg, stride)
     keep = human_ok & object_ok
     _drop("degenerate_box", len(keep) - keep.sum())
-    obj_class = obj[1, oi].astype(np.intp)
+    obj_class = obj[:, 1].astype(np.intp)
     if table is not None:
         lut = _meaningful(table, outputs.interaction_map.shape[1], det.shape[1] - 1)
         allowed = lut[verb, obj_class]
         _drop("table_filter", (keep & ~allowed).sum())
         keep &= allowed
-    score = ip_score * hum[0, hi] * obj[0, oi]
+    score = ip_score * hum[:, 0] * obj[:, 0]
     kept = np.flatnonzero(keep)
     order = kept[np.argsort(-score[kept], kind="stable")]
     return [HoiTriplet(tuple(hb), tuple(ob), v, c, s) for hb, ob, v, c, s in zip(

@@ -70,7 +70,9 @@ def average_precision(detections, gts, iou_thresh: float = 0.5,
 
     detections: (image_id, score, human_box, object_box) tuples, any order;
     gts: (image_id, human_box, object_box) tuples. Returns None when there is
-    no ground truth (category undefined).
+    no ground truth (category undefined). Detections are ranked by descending
+    score and equal scores keep their given order (the sort is stable), so
+    reordering tied detections can change the AP.
     """
     if not gts:
         return None

@@ -57,7 +57,8 @@ def save_table(path, table: HoiCategoryTable) -> None:
 
 
 def load_table(path) -> HoiCategoryTable:
-    num_verbs = num_objects = None
+    """Read ``save_table``'s format; any other line is a DataError quoting it."""
+    header = {}
     meaningful = set()
     rare = set()
     with open(path) as f:
@@ -65,20 +66,24 @@ def load_table(path) -> HoiCategoryTable:
             parts = line.split()
             if not parts:
                 continue
-            if parts[0] == "verbs":
-                num_verbs = int(parts[1])
-            elif parts[0] == "objects":
-                num_objects = int(parts[1])
-            elif parts[0] == "pair":
-                v, o, flag = int(parts[1]), int(parts[2]), parts[3]
-                meaningful.add((v, o))
-                if flag == "rare":
-                    rare.add((v, o))
-            else:
-                raise DataError(f"unknown table line: {line.strip()!r}")
-    if num_verbs is None or num_objects is None:
+            key, fields = parts[0], parts[1:]
+            try:
+                if key in ("verbs", "objects") and len(fields) == 1:
+                    header[key] = int(fields[0])
+                elif key == "pair" and len(fields) == 3 and fields[2] in ("rare", "common"):
+                    v, o = int(fields[0]), int(fields[1])
+                    meaningful.add((v, o))
+                    if fields[2] == "rare":
+                        rare.add((v, o))
+                else:
+                    raise ValueError
+            except ValueError:
+                raise DataError(f"malformed table line {line.strip()!r}: want 'verbs N', "
+                                "'objects N' or 'pair V O rare|common'") from None
+    if len(header) != 2:
         raise DataError("table file missing verbs/objects header")
-    return HoiCategoryTable(num_verbs, num_objects, frozenset(meaningful), frozenset(rare))
+    return HoiCategoryTable(header["verbs"], header["objects"], frozenset(meaningful),
+                            frozenset(rare))
 
 
 @dataclass(frozen=True)
@@ -247,8 +252,7 @@ def hna_loss(pred: Tensor, mask: np.ndarray, num_points: int, alpha: float = 2.0
     w_other = np.where(neg, (1.0 - mask) ** beta, (1.0 - mask) ** gamma)
     terms = np.where(pos, (1.0 - p) ** alpha * log_p, w_other * p ** alpha * log_np)
     denom = float(max(num_points, 1))
-    out = Tensor((1, 1, 1, 1), [-terms.sum() / denom])
-    out.exact = float(-terms.sum() / denom)
+    out = Tensor.from_scalar(-terms.sum() / denom)
 
     t = active_tape()
     if t is not None:
@@ -313,13 +317,12 @@ def _sparse_l1(pred: Tensor, rows, targets) -> Tensor:
     """
     count = len(rows)
     if count == 0:
-        return Tensor((1, 1, 1, 1), [0.0])
+        return Tensor.from_scalar(0.0)
     tgt = np.asarray(targets, np.float64)
     bi, ch, y, x = np.asarray(rows, np.int64).T[:, :, None]
     at = (bi, ch + np.arange(tgt.shape[1]), y, x)
     diff = pred.data[at].astype(np.float64) - tgt
-    out = Tensor((1, 1, 1, 1), [np.abs(diff).sum() / count])
-    out.exact = float(np.abs(diff).sum() / count)
+    out = Tensor.from_scalar(np.abs(diff).sum() / count)
 
     t = active_tape()
     if t is not None:

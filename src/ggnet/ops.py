@@ -233,8 +233,7 @@ def weighted_sum(x: Tensor, weights: np.ndarray | None = None) -> Tensor:
     else:
         w = np.asarray(weights, dtype=np.float64).reshape(x.shape)
         val = float((x.data.astype(np.float64) * w).sum())
-    out = Tensor((1, 1, 1, 1), [val])
-    out.exact = float(val)
+    out = Tensor.from_scalar(val)
     t = active_tape()
     if t is not None:
         def backward():
@@ -253,8 +252,7 @@ def combine_scalars(terms: list[tuple[float, Tensor]]) -> Tensor:
         if term.size != 1:
             raise ShapeError("combine_scalars takes scalar tensors")
         total += float(coef) * term.scalar()
-    out = Tensor((1, 1, 1, 1), [total])
-    out.exact = float(total)
+    out = Tensor.from_scalar(total)
     t = active_tape()
     if t is not None:
         def backward():
@@ -466,8 +464,9 @@ def maxpool_nms(heatmap: Tensor) -> Tensor:
     return Tensor.from_array(np.where(x == local_max, x, 0.0))
 
 
-def topk(heatmap: Tensor, k: int, batch: int = 0) -> list[tuple[float, int, int, int]]:
-    """Top-k entries of one batch item as (score, channel, y, x), descending.
+def topk(heatmap: Tensor, k: int, batch: int = 0) -> np.ndarray:
+    """Top-k entries of one batch item as the rows (score, channel, y, x) of
+    an (n, 4) float64 array, descending by score.
 
     Ties break by ascending linear index over (channel, y, x), so output is
     deterministic.
@@ -479,4 +478,4 @@ def topk(heatmap: Tensor, k: int, batch: int = 0) -> list[tuple[float, int, int,
     order = np.argsort(-flat, kind="stable")[:k]
     ch, rest = np.divmod(order, h * w)
     y, x = np.divmod(rest, w)
-    return list(zip(flat[order].tolist(), ch.tolist(), y.tolist(), x.tolist()))
+    return np.stack([flat[order], ch, y, x], axis=1, dtype=np.float64)

@@ -61,6 +61,15 @@ class Tensor:
         t.exact = None
         return t
 
+    @classmethod
+    def from_scalar(cls, value) -> "Tensor":
+        """(1, 1, 1, 1) tensor of a float64 reduction's result: stored as
+        float32, with the float64 value kept in ``exact`` for ``scalar()``."""
+        value = float(value)
+        t = cls((1, 1, 1, 1), [value])
+        t.exact = value
+        return t
+
     @property
     def shape(self):
         return self.data.shape

@@ -89,14 +89,14 @@ def visualize(model: GGNet, image: Tensor, out_path, k: int = 100) -> dict:
     summary = {"interaction": None, "points_step1": [], "points_final": [],
                "human_box": None, "object_box": None}
     peaks = select_candidates(outputs.interaction_map, k=1)
-    if peaks:
-        ip = peaks[0]
-        summary["interaction"] = {"x": ip.x, "y": ip.y, "verb": ip.channel,
-                                  "score": ip.score}
+    if len(peaks):
+        score, verb, y, x = peaks[0].tolist()
+        x, y = int(x), int(y)
+        summary["interaction"] = {"x": x, "y": y, "verb": int(verb), "score": score}
         if outputs.points_coarse is not None:
-            summary["points_step1"] = _tap_positions(outputs.points_coarse, ip.x, ip.y)
+            summary["points_step1"] = _tap_positions(outputs.points_coarse, x, y)
         if outputs.points_final is not None:
-            summary["points_final"] = _tap_positions(outputs.points_final, ip.x, ip.y)
+            summary["points_final"] = _tap_positions(outputs.points_final, x, y)
         triplets = assemble_triplets(outputs, stride, k=k)
         if triplets:
             top = triplets[0]
@@ -106,7 +106,7 @@ def visualize(model: GGNet, image: Tensor, out_path, k: int = 100) -> dict:
             _rect(rgb, top.object_box, (255, 60, 60))
         _draw_points(rgb, summary["points_step1"], stride, (1.0, 0.85, 0.1))
         _draw_points(rgb, summary["points_final"], stride, (0.2, 0.9, 1.0))
-        _cross(rgb, int(round(ip.x * stride + stride / 2)),
-               int(round(ip.y * stride + stride / 2)), (255, 255, 255))
+        _cross(rgb, int(round(x * stride + stride / 2)),
+               int(round(y * stride + stride / 2)), (255, 255, 255))
     write_ppm(out_path, rgb)
     return summary

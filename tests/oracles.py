@@ -261,45 +261,40 @@ def hna_loss_ref(pred, mask, num_points, alpha=2.0, beta=7.0, gamma=4.0):
 
 
 def match_point_ref(ip, offset, candidates, norm="l1"):
-    """Exhaustive cost minimization over (distance to ip - offset) / score;
-    ties prefer the higher score, then the earlier candidate."""
+    """Exhaustive cost minimization over (distance to ip - offset) / score,
+    with ip an (x, y) pair and candidates (score, channel, y, x) rows; ties
+    prefer the higher score, then the earlier candidate. Returns its index."""
     tx = ip[0] - offset[0]
     ty = ip[1] - offset[1]
     best = None
     best_key = None
-    for order, cand in enumerate(candidates):
+    for order, (score, _, y, x) in enumerate(candidates):
         if norm == "l1":
-            dist = abs(cand.x - tx) + abs(cand.y - ty)
+            dist = abs(x - tx) + abs(y - ty)
         else:
-            dist = math.hypot(cand.x - tx, cand.y - ty)
-        key = (dist / cand.score, -cand.score, order)
+            dist = math.hypot(x - tx, y - ty)
+        key = (dist / score, -score, order)
         if best_key is None or key < best_key:
             best_key = key
-            best = cand
+            best = order
     return best
 
 
-class _Cand:
-    __slots__ = ("score", "channel", "x", "y")
-
-    def __init__(self, score, channel, x, y):
-        self.score, self.channel, self.x, self.y = score, channel, x, y
-
-
 def _candidates_ref(planes, k):
-    """3x3-max peaks of one image's (c, h, w) planes, best k, positive only."""
+    """3x3-max peaks of one image's (c, h, w) planes, best k, positive only,
+    as (score, channel, y, x) rows."""
     peaks = maxpool_nms_ref(planes[None])[0]
-    return [_Cand(s, c, x, y) for s, c, y, x in topk_ref(peaks, k) if s > 0.0]
+    return [row for row in topk_ref(peaks, k) if row[0] > 0.0]
 
 
-def _decode_box_ref(center, wh, reg, stride):
+def _decode_box_ref(x, y, wh, reg, stride):
     _, fh, fw = wh.shape
-    bw = float(wh[0, center.y, center.x])
-    bh = float(wh[1, center.y, center.x])
+    bw = float(wh[0, y, x])
+    bh = float(wh[1, y, x])
     if bw <= 0.0 or bh <= 0.0:
         return None
-    cx = center.x + float(reg[0, center.y, center.x])
-    cy = center.y + float(reg[1, center.y, center.x])
+    cx = x + float(reg[0, y, x])
+    cy = y + float(reg[1, y, x])
     img_w, img_h = fw * stride, fh * stride
     x1 = min(max((cx - bw / 2.0) * stride, 0.0), img_w)
     x2 = min(max((cx + bw / 2.0) * stride, 0.0), img_w)
@@ -323,21 +318,20 @@ def assemble_triplets_ref(outputs, stride, k=100, meaningful=None, norm="l1", ba
     offsets = outputs.match_offsets.data[batch]
     wh, reg = outputs.det_wh.data[batch], outputs.det_reg.data[batch]
     triplets = []
-    for ip in interactions:
+    for score, verb, y, x in interactions:
         if not humans or not objects:
             continue
-        grp = ip.channel if outputs.match_groups > 1 else 0
-        off = [float(v) for v in offsets[4 * grp:4 * grp + 4, ip.y, ip.x]]
-        human = match_point_ref((ip.x, ip.y), off[0:2], humans, norm)
-        obj = match_point_ref((ip.x, ip.y), off[2:4], objects, norm)
-        human_box = _decode_box_ref(human, wh, reg, stride)
-        object_box = _decode_box_ref(obj, wh, reg, stride)
+        grp = verb if outputs.match_groups > 1 else 0
+        off = [float(v) for v in offsets[4 * grp:4 * grp + 4, y, x]]
+        h_score, _, hy, hx = humans[match_point_ref((x, y), off[0:2], humans, norm)]
+        o_score, o_class, oy, ox = objects[match_point_ref((x, y), off[2:4], objects, norm)]
+        human_box = _decode_box_ref(hx, hy, wh, reg, stride)
+        object_box = _decode_box_ref(ox, oy, wh, reg, stride)
         if human_box is None or object_box is None:
             continue
-        if meaningful is not None and (ip.channel, obj.channel) not in meaningful:
+        if meaningful is not None and (verb, o_class) not in meaningful:
             continue
-        triplets.append((human_box, object_box, ip.channel, obj.channel,
-                         ip.score * human.score * obj.score))
+        triplets.append((human_box, object_box, verb, o_class, score * h_score * o_score))
     triplets.sort(key=lambda t: -t[4])
     return triplets[:k]
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ggnet import ops
-from ggnet.decoder import PointCandidate, match_point
+from ggnet.decoder import match_point
 from ggnet.evaluator import average_precision, evaluate
 from ggnet.gradcheck import standard_checks
 from ggnet.losses import (
@@ -115,7 +115,7 @@ def test_criterion_01_kernel_oracles(criterion_report):
         c, h, w = int(rng.integers(1, 4)), int(rng.integers(1, 6)), int(rng.integers(1, 6))
         data = rng.integers(0, 5, (1, c, h, w)).astype(np.float32)  # abundant ties
         k = int(rng.integers(1, c * h * w + 3))
-        if topk(Tensor.from_array(data), k) != topk_ref(data[0], k):
+        if topk(Tensor.from_array(data), k).tolist() != [list(r) for r in topk_ref(data[0], k)]:
             mismatches += 1
     worst["topk"] = float(mismatches)
 
@@ -265,18 +265,18 @@ def test_criterion_06_point_matching_oracle(criterion_report):
     for trial in range(1000):
         norm = "l1" if trial % 2 == 0 else "l2"
         n = int(rng.integers(1, 14))
-        cands = [PointCandidate(float(rng.uniform(0.05, 1.0)), 0,
-                                int(rng.integers(0, 16)), int(rng.integers(0, 16)))
-                 for _ in range(n)]
-        ip = PointCandidate(1.0, 0, int(rng.integers(0, 16)), int(rng.integers(0, 16)))
+        drawn = [(float(rng.uniform(0.05, 1.0)), int(rng.integers(0, 16)), int(rng.integers(0, 16)))
+                 for _ in range(n)]  # (score, x, y)
+        pool = np.array([(s, 0, y, x) for s, x, y in drawn], np.float64)
+        x, y = int(rng.integers(0, 16)), int(rng.integers(0, 16))
         off = (float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4)))
-        if match_point(ip, off, cands, norm) != match_point_ref((ip.x, ip.y), off, cands, norm):
+        if match_point(x, y, off, pool, norm) != match_point_ref((x, y), off, pool, norm):
             mismatches += 1
 
-    ip = PointCandidate(1.0, 0, 10, 10)
-    a = PointCandidate(1.0, 0, 6, 10)    # cost |8-6|/1.00 = 2
-    b = PointCandidate(0.25, 0, 7, 10)   # cost |8-7|/0.25 = 4
-    hand = match_point(ip, (2.0, 0.0), [a, b]) == a
+    # rows (score, channel, y, x); the target is (10, 10) - (2, 0) = (8, 10)
+    pool = np.array([(1.0, 0, 10, 6),    # cost |8-6|/1.00 = 2
+                     (0.25, 0, 10, 7)])  # cost |8-7|/0.25 = 4
+    hand = match_point(10, 10, (2.0, 0.0), pool) == 0
 
     ok = mismatches == 0 and hand
     _verdict(criterion_report, 6, "point-matching oracle", ok,

@@ -119,6 +119,20 @@ def test_cli_errors_exit_two(workdir, capsys):
         assert "seed range is empty" in captured.err
 
 
+@pytest.mark.parametrize("line", ["pair 0 0", "verbs", "pair 0 0 rar"])
+def test_cli_eval_malformed_table_line_exits_two(tmp_path, capsys, line):
+    data = tmp_path / "data"
+    make_dataset(SceneSpec(seed=1, image_size=48), data, n_train=2, n_test=2)
+    table = data / "table.txt"
+    table.write_text(table.read_text() + line + "\n")
+    dets = tmp_path / "dets.txt"
+    dets.write_text("")
+    assert main(["eval", "--dets", str(dets), "--gt", str(data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: malformed table line {line!r}")
+
+
 def test_cli_visualize_corrupt_image_exits_two(tmp_path, capsys):
     ckpt = tmp_path / "tiny.ckpt"
     _tiny_model(ckpt)

@@ -10,7 +10,6 @@ from ggnet.decoder import (
     DROP_REASONS,
     HoiTriplet,
     NoCandidateError,
-    PointCandidate,
     assemble_triplets,
     decode_box,
     format_triplet,
@@ -39,10 +38,11 @@ def test_select_candidates_keeps_isolated_peaks_sorted():
     heat[0, 0, 3, 3] = 0.5
     heat[0, 1, 0, 2] = 0.7
     cands = select_candidates(_t(heat), k=10)
-    assert cands == [
-        PointCandidate(pytest.approx(0.9), 0, 1, 1),
-        PointCandidate(pytest.approx(0.7), 1, 2, 0),
-        PointCandidate(pytest.approx(0.5), 0, 3, 3),
+    assert cands.dtype == np.float64
+    assert cands.tolist() == [  # rows (score, channel, y, x)
+        [pytest.approx(0.9), 0, 1, 1],
+        [pytest.approx(0.7), 1, 0, 2],
+        [pytest.approx(0.5), 0, 3, 3],
     ]
 
 
@@ -52,8 +52,8 @@ def test_select_candidates_filters_suppressed_pixels():
     cands = select_candidates(_t(heat), k=16)
     # every non-max pixel is zeroed by the 3x3 filter and then dropped;
     # the constant corner pixels far from the peak survive as plateau maxima
-    assert PointCandidate(pytest.approx(0.8), 0, 2, 2) == cands[0]
-    assert all(c.score > 0 for c in cands)
+    assert cands[0].tolist() == [pytest.approx(0.8), 0, 2, 2]
+    assert (cands[:, 0] > 0).all()
     assert len(cands) < 16
 
 
@@ -62,7 +62,7 @@ def test_select_candidates_keeps_plateau_ties_in_index_order():
     heat[0, 0, 1, 1] = 0.9
     heat[0, 0, 1, 2] = 0.9
     cands = select_candidates(_t(heat), k=4)
-    assert [(c.x, c.y) for c in cands] == [(1, 1), (2, 1)]
+    assert cands[:, [3, 2]].tolist() == [[1, 1], [2, 1]]  # (x, y)
 
 
 def test_select_candidates_respects_k():
@@ -70,42 +70,42 @@ def test_select_candidates_respects_k():
     for i, (y, x) in enumerate([(0, 0), (0, 4), (4, 0), (4, 4)]):
         heat[0, 0, y, x] = 0.9 - 0.1 * i
     cands = select_candidates(_t(heat), k=2)
-    assert [(c.y, c.x) for c in cands] == [(0, 0), (0, 4)]
+    assert cands[:, 2:].tolist() == [[0, 0], [0, 4]]  # (y, x)
 
 
 # ===== point matching =====
 
+def _rows(*cands):
+    """(score, x, y) triples -> candidate rows (score, channel 0, y, x)."""
+    return np.array([(s, 0, y, x) for s, x, y in cands], np.float64).reshape(-1, 4)
+
+
 def test_match_point_frozen_case_distance_over_score():
-    ip = PointCandidate(1.0, 0, 10, 10)
-    a = PointCandidate(1.0, 0, 6, 10)    # cost |8-6|/1.0  = 2
-    b = PointCandidate(0.25, 0, 7, 10)   # cost |8-7|/0.25 = 4
-    got = match_point(ip, (2.0, 0.0), [a, b])
-    assert got == a
-    assert match_point(ip, (2.0, 0.0), [b, a]) == a  # order-independent
+    a = (1.0, 6, 10)    # cost |8-6|/1.0  = 2
+    b = (0.25, 7, 10)   # cost |8-7|/0.25 = 4
+    assert match_point(10, 10, (2.0, 0.0), _rows(a, b)) == 0
+    assert match_point(10, 10, (2.0, 0.0), _rows(b, a)) == 1  # order-independent
 
 
 def test_match_point_empty_pool_raises():
-    ip = PointCandidate(1.0, 0, 1, 1)
     with pytest.raises(NoCandidateError):
-        match_point(ip, (0.0, 0.0), [])
+        match_point(1, 1, (0.0, 0.0), _rows())
 
 
 def test_match_point_tie_prefers_higher_score():
-    ip = PointCandidate(1.0, 0, 4, 4)
-    a = PointCandidate(0.5, 0, 4, 6)  # cost 2/0.5 = 4
-    b = PointCandidate(1.0, 0, 4, 8)  # cost 4/1.0 = 4
-    assert match_point(ip, (0.0, 0.0), [a, b]) == b
-    assert match_point(ip, (0.0, 0.0), [b, a]) == b
+    a = (0.5, 4, 6)  # cost 2/0.5 = 4
+    b = (1.0, 4, 8)  # cost 4/1.0 = 4
+    assert match_point(4, 4, (0.0, 0.0), _rows(a, b)) == 1
+    assert match_point(4, 4, (0.0, 0.0), _rows(b, a)) == 0
 
 
 def test_match_point_norm_selects_different_winner():
-    ip = PointCandidate(1.0, 0, 10, 10)
-    a = PointCandidate(1.0, 0, 10, 5)  # dist l1=5, l2=5
-    b = PointCandidate(1.0, 0, 7, 7)   # dist l1=6, l2=4.24
-    assert match_point(ip, (0.0, 0.0), [a, b], norm="l1") == a
-    assert match_point(ip, (0.0, 0.0), [a, b], norm="l2") == b
+    pool = _rows((1.0, 10, 5),   # dist l1=5, l2=5
+                 (1.0, 7, 7))    # dist l1=6, l2=4.24
+    assert match_point(10, 10, (0.0, 0.0), pool, norm="l1") == 0
+    assert match_point(10, 10, (0.0, 0.0), pool, norm="l2") == 1
     with pytest.raises(ValueError):
-        match_point(ip, (0.0, 0.0), [a, b], norm="linf")
+        match_point(10, 10, (0.0, 0.0), pool, norm="linf")
 
 
 @pytest.mark.parametrize("norm", ["l1", "l2"])
@@ -113,12 +113,11 @@ def test_match_point_matches_exhaustive_oracle(norm):
     rng = np.random.default_rng(hash(norm) % 2**32)
     for _ in range(250):
         n = int(rng.integers(1, 12))
-        cands = [PointCandidate(float(rng.uniform(0.05, 1.0)), 0,
-                                int(rng.integers(0, 16)), int(rng.integers(0, 16)))
-                 for _ in range(n)]
-        ip = PointCandidate(1.0, 0, int(rng.integers(0, 16)), int(rng.integers(0, 16)))
+        pool = _rows(*[(float(rng.uniform(0.05, 1.0)), int(rng.integers(0, 16)),
+                        int(rng.integers(0, 16))) for _ in range(n)])
+        x, y = int(rng.integers(0, 16)), int(rng.integers(0, 16))
         off = (float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4)))
-        assert match_point(ip, off, cands, norm) == match_point_ref((ip.x, ip.y), off, cands, norm)
+        assert match_point(x, y, off, pool, norm) == match_point_ref((x, y), off, pool, norm)
 
 
 # ===== box decoding =====
@@ -127,7 +126,7 @@ def test_decode_box_frozen_case():
     wh = np.zeros((1, 2, 12, 12), np.float32)
     reg = np.zeros((1, 2, 12, 12), np.float32)
     wh[0, :, 8, 8] = [4.0, 6.0]
-    box = decode_box(PointCandidate(1.0, 0, 8, 8), _t(wh), _t(reg), stride=4)
+    box = decode_box(8, 8, _t(wh), _t(reg), stride=4)
     assert box == (24.0, 20.0, 40.0, 44.0)
 
 
@@ -136,20 +135,20 @@ def test_decode_box_applies_subpixel_offset():
     reg = np.zeros((1, 2, 8, 8), np.float32)
     wh[0, :, 3, 4] = [2.0, 2.0]
     reg[0, :, 3, 4] = [0.5, -0.25]
-    box = decode_box(PointCandidate(1.0, 0, 4, 3), _t(wh), _t(reg), stride=4)
+    box = decode_box(4, 3, _t(wh), _t(reg), stride=4)
     assert box == pytest.approx((14.0, 7.0, 22.0, 15.0))
 
 
 def test_decode_box_degenerate_and_clamped():
     wh = np.zeros((1, 2, 8, 8), np.float32)
     reg = np.zeros((1, 2, 8, 8), np.float32)
-    assert decode_box(PointCandidate(1.0, 0, 2, 2), _t(wh), _t(reg), 4) is None
+    assert decode_box(2, 2, _t(wh), _t(reg), 4) is None
     wh[0, :, 0, 0] = [50.0, 50.0]
-    box = decode_box(PointCandidate(1.0, 0, 0, 0), _t(wh), _t(reg), 4)
+    box = decode_box(0, 0, _t(wh), _t(reg), 4)
     assert box == (0.0, 0.0, 32.0, 32.0)  # clamped to the 8*4 image
     wh[0, :, 0, 7] = [2.0, 2.0]
     reg[0, 0, 0, 7] = 10.0  # pushes the whole box past the right edge
-    assert decode_box(PointCandidate(1.0, 0, 7, 0), _t(wh), _t(reg), 4) is None
+    assert decode_box(7, 0, _t(wh), _t(reg), 4) is None
 
 
 # ===== full assembly =====
@@ -237,7 +236,7 @@ def test_assemble_triplets_returns_python_floats():
         assert type(t.verb) is int and type(t.object_class) is int
     wh_map = np.zeros((1, 2, 8, 8), np.float32)
     wh_map[0, :, 0, 0] = [50.0, 50.0]
-    box = decode_box(PointCandidate(1.0, 0, 0, 0), _t(wh_map), _t(np.zeros_like(wh_map)), 4)
+    box = decode_box(0, 0, _t(wh_map), _t(np.zeros_like(wh_map)), 4)
     assert [type(v) for v in box] == [float] * 4
 
 

@@ -55,6 +55,16 @@ def test_average_precision_eleven_point_variant():
         average_precision(dets, gts, interpolation="101point")
 
 
+def test_average_precision_keeps_arrival_order_among_equal_scores():
+    # Not invariant to detection order: tied detections are ranked in the
+    # order they arrive (stable sort), so a TP ahead of an equal-score FP
+    # scores 1.0 and behind it 0.5.
+    gts = [("a", H1, O1)]
+    tp, fp = ("a", 0.5, H1, O1), ("a", 0.5, FAR_H, FAR_O)
+    assert average_precision([tp, fp], gts) == 1.0
+    assert average_precision([fp, tp], gts) == 0.5
+
+
 def test_average_precision_trivial_cases():
     gts = [("a", H1, O1)]
     assert average_precision([("a", 1.0, H1, O1)], gts) == pytest.approx(1.0)

@@ -1,9 +1,12 @@
 """Supervision masks, the signed-mask focal loss, matching and box losses."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ggnet.losses import (
     DataError,
@@ -99,6 +102,15 @@ def test_table_load_rejects_garbage(tmp_path):
     headerless.write_text("pair 0 0 common\n")
     with pytest.raises(DataError):
         load_table(headerless)
+
+
+@pytest.mark.parametrize("line", ["pair 0 0", "verbs", "pair 0 0 rar", "pair 0 0 rare x",
+                                  "objects 2 3", "pair 0 one common", "verbs 2.5"])
+def test_table_load_rejects_malformed_line_quoting_it(tmp_path, line):
+    path = tmp_path / "table.txt"
+    path.write_text(f"verbs 2\nobjects 2\n{line}\n")
+    with pytest.raises(DataError, match=re.escape(repr(line))):
+        load_table(path)
 
 
 # ===== Gaussian radius & stamps =====
@@ -217,6 +229,59 @@ def test_build_mask_positive_beats_negative_at_same_point():
     assert mask.min() >= 0.0  # both candidate negatives are positives here
     assert mask[0].max() == pytest.approx(1.0)
     assert mask[1].max() == pytest.approx(1.0)
+
+
+@st.composite
+def _shared_class_case(draw, size=16, stride=4):
+    """A table whose object classes are shared by several verbs, and
+    annotations with random boxes, some sharing an earlier annotation's box
+    centers (scaled boxes) so that their interaction points coincide while
+    their Gaussian radii differ."""
+    num_verbs, num_objects = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    pairs = frozenset((v, o) for o in range(num_objects) for v in draw(
+        st.sets(st.integers(0, num_verbs - 1), min_size=1, max_size=num_verbs)))
+    table = HoiCategoryTable(num_verbs, num_objects, pairs, frozenset())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    img = size * stride
+
+    def rand_box():  # up to 40 px, so stamps reach radius 2-4
+        bw, bh = rng.uniform(6, 40, 2).tolist()
+        x1, y1 = float(rng.uniform(0, img - bw)), float(rng.uniform(0, img - bh))
+        return (x1, y1, x1 + bw, y1 + bh)
+
+    def scaled(box, f):
+        cx, cy = (box[0] + box[2]) / 2.0, (box[1] + box[3]) / 2.0
+        hw, hh = f * (box[2] - box[0]) / 2.0, f * (box[3] - box[1]) / 2.0
+        return (cx - hw, cy - hh, cx + hw, cy + hh)
+
+    annos = []
+    for _ in range(draw(st.integers(1, 5))):
+        v, o = draw(st.sampled_from(sorted(pairs)))
+        if annos and draw(st.booleans()):
+            prev = annos[draw(st.integers(0, len(annos) - 1))]
+            f = draw(st.sampled_from([1.0, 0.5, 1.5, 3.0]))
+            annos.append(HoiAnnotation(scaled(prev.human_box, f), scaled(prev.object_box, f), v, o))
+        else:
+            annos.append(HoiAnnotation(rand_box(), rand_box(), v, o))
+    return table, annos
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_shared_class_case())
+def test_build_mask_positive_precedence_matches_splat_oracle(case):
+    table, annos = case
+    shape = (table.num_verbs, 16, 16)
+    got = build_mask(annos, table, shape, stride=4)
+    want = build_mask_ref(annos, table.meaningful, *shape, 4)
+    np.testing.assert_allclose(got, want, atol=1e-6)
+    # every positive Gaussian survives unchanged, and negatives only fill the rest
+    plain = build_mask(annos, table, shape, stride=4, hard_negatives=False)
+    assert np.array_equal(got[plain > 0], plain[plain > 0])
+    assert (plain[got < 0] == 0).all()
+    for a in annos:
+        x, y = a.interaction_point(4)
+        px, py = min(max(int(x), 0), 15), min(max(int(y), 0), 15)
+        assert got[a.verb, py, px] == 1.0
 
 
 def test_build_mask_rejects_non_meaningful_annotation():

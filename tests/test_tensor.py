@@ -63,6 +63,13 @@ def test_scalar_prefers_exact_float64_value():
     assert plain.scalar() == 2.5
 
 
+def test_from_scalar_stores_float32_and_keeps_float64():
+    t = Tensor.from_scalar(np.float64(1.0 + 1e-9))
+    assert t.shape == (1, 1, 1, 1) and t.data.dtype == np.float32
+    assert t.item() == 1.0
+    assert t.scalar() == 1.0 + 1e-9 and type(t.exact) is float
+
+
 def test_grad_buffers():
     t = Tensor((1, 1, 2, 2))
     assert t.grad is None
