@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .configio import apply_kv, read_kv_file
+from .configio import apply_kv, coerce_key, read_kv_file
 from .decoder import DROP_REASONS, drop_counts, load_triplets, reset_drop_counts, save_triplets
 from .evaluator import evaluate
 from .gradcheck import standard_checks
@@ -60,8 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_synth(args) -> int:
     kv = read_kv_file(args.config) if args.config else {}
-    n_train = int(kv.pop("n_train", "200"))
-    n_test = int(kv.pop("n_test", "50"))
+    n_train = coerce_key("n_train", kv.pop("n_train", "200"), int)
+    n_test = coerce_key("n_test", kv.pop("n_test", "50"), int)
     spec = apply_kv(SceneSpec(), kv)
     table = make_dataset(spec, args.out, n_train=n_train, n_test=n_test)
     print(f"wrote {n_train} train + {n_test} test images to {args.out} "

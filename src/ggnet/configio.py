@@ -1,7 +1,7 @@
 """Line-oriented ``key = value`` config text, bound to dataclasses.
 
-Used for the training config file and for the model-architecture sidecar
-written next to checkpoints. Unknown keys are hard errors so typos never
+Used for the training and scene config files and for the model-architecture
+header of a checkpoint's manifest. Unknown keys are hard errors so typos never
 silently fall back to defaults.
 """
 
@@ -40,11 +40,6 @@ def read_kv_file(path) -> dict[str, str]:
         return parse_kv_text(f.read())
 
 
-def write_kv_file(path, kv: dict[str, str]) -> None:
-    with open(path, "w") as f:
-        f.write(format_kv(kv))
-
-
 def _parse_bool(raw: str) -> bool:
     low = raw.lower()
     if low in ("true", "yes", "on", "1"):
@@ -69,6 +64,14 @@ def coerce_value(raw: str, target_type):
     raise ConfigError(f"unsupported config field type {target_type!r}")
 
 
+def coerce_key(key: str, raw: str, target_type):
+    """``coerce_value`` with the key named in its error."""
+    try:
+        return coerce_value(raw, target_type)
+    except ConfigError as exc:
+        raise ConfigError(f"key {key!r}: {exc}") from None
+
+
 def _hints(cls) -> dict:
     return typing.get_type_hints(cls)
 
@@ -79,13 +82,7 @@ def _coerce_all(cls, kv: dict[str, str]) -> dict:
     unknown = sorted(set(kv) - allowed)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    out = {}
-    for key, raw in kv.items():
-        try:
-            out[key] = coerce_value(raw, hints[key])
-        except ConfigError as exc:
-            raise ConfigError(f"key {key!r}: {exc}") from None
-    return out
+    return {key: coerce_key(key, raw, hints[key]) for key, raw in kv.items()}
 
 
 def dataclass_from_kv(cls, kv: dict[str, str]):

@@ -176,8 +176,11 @@ def parse_triplet_line(line: str) -> tuple[str, HoiTriplet]:
     if len(parts) != 12:
         raise ValueError(f"triplet line needs 12 fields, got {len(parts)}: {line!r}")
     image_id = parts[0]
-    verb, cls = int(parts[1]), int(parts[2])
-    vals = [float(v) for v in parts[3:]]
+    try:
+        verb, cls = int(parts[1]), int(parts[2])
+        vals = [float(v) for v in parts[3:]]
+    except ValueError as exc:
+        raise ValueError(f"bad triplet line {line!r}: {exc}") from None
     return image_id, HoiTriplet(tuple(vals[1:5]), tuple(vals[5:9]), verb, cls, vals[0])
 
 
@@ -191,10 +194,13 @@ def save_triplets(path, per_image: dict) -> None:
 def load_triplets(path) -> dict:
     out: dict[str, list[HoiTriplet]] = {}
     with open(path) as f:
-        for line in f:
+        for ln, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
-            image_id, t = parse_triplet_line(line)
+            try:
+                image_id, t = parse_triplet_line(line)
+            except ValueError as exc:
+                raise ValueError(f"{path} line {ln}: {exc}") from None
             out.setdefault(image_id, []).append(t)
     return out

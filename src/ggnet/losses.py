@@ -117,8 +117,11 @@ def parse_annotation_line(line: str) -> tuple[str, HoiAnnotation]:
     if len(parts) != 11:
         raise DataError(f"annotation line needs 11 fields, got {len(parts)}: {line!r}")
     image_id = parts[0]
-    verb, cls = int(parts[1]), int(parts[2])
-    vals = [float(v) for v in parts[3:]]
+    try:
+        verb, cls = int(parts[1]), int(parts[2])
+        vals = [float(v) for v in parts[3:]]
+    except ValueError as exc:
+        raise DataError(f"bad annotation line {line!r}: {exc}") from None
     return image_id, HoiAnnotation(tuple(vals[0:4]), tuple(vals[4:8]), verb, cls)
 
 

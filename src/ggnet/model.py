@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .configio import dataclass_from_kv, dataclass_to_kv, read_kv_file, write_kv_file
+from .configio import dataclass_from_kv, dataclass_to_kv, format_kv, parse_kv_text
 from .ops import ConvParams
 from .tensor import ConfigError, ShapeError, Tensor, load_checkpoint, save_checkpoint
 
@@ -186,14 +186,12 @@ class GGNet:
             t.zero_grad()
 
     def save(self, path) -> None:
-        save_checkpoint(path, self.named_tensors())
-        write_kv_file(str(path) + ".config", dataclass_to_kv(self.config))
+        save_checkpoint(path, self.named_tensors(), format_kv(dataclass_to_kv(self.config)))
 
     @classmethod
     def load(cls, path) -> "GGNet":
-        config = dataclass_from_kv(ModelConfig, read_kv_file(str(path) + ".config"))
-        model = cls(config, seed=0)
-        stored = load_checkpoint(path)
+        header, stored = load_checkpoint(path)
+        model = cls(dataclass_from_kv(ModelConfig, parse_kv_text(header)), seed=0)
         expected = dict(model.named_tensors())
         missing = sorted(set(expected) - set(stored))
         extra = sorted(set(stored) - set(expected))

@@ -70,9 +70,6 @@ class ConvParams:
     def kernel_size(self) -> int:
         return self.weight.shape[2]
 
-    def tensors(self):
-        return [("weight", self.weight), ("bias", self.bias)]
-
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1

@@ -165,6 +165,8 @@ def make_dataset(spec: SceneSpec, out_dir, n_train: int = 200, n_test: int = 50)
     once each). Every image is seeded by (seed, split, index) alone, so no
     image depends on the order in which the others are generated.
     """
+    if n_train < 0 or n_test < 0:
+        raise ConfigError(f"n_train {n_train} and n_test {n_test} must be nonnegative")
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "annos").mkdir(parents=True, exist_ok=True)
@@ -237,7 +239,10 @@ def load_split(data_dir, split: str, with_images: bool = True) -> list[SceneSamp
     ids = splits[split]
     anno_path = root / "annos" / f"{split}.txt"
     with open(anno_path) as f:
-        annos = parse_annotations(f)
+        try:
+            annos = parse_annotations(f)
+        except DataError as exc:
+            raise DataError(f"{anno_path}: {exc}") from None
     stray = sorted(annos.keys() - set(ids))
     if stray:
         raise DataError(f"{anno_path}: image id {stray[0]!r} is not in split {split!r}")

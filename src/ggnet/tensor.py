@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import struct
 from contextlib import contextmanager
 from typing import Iterable, Iterator
@@ -186,37 +187,55 @@ def load_ggt(path) -> Tensor:
         return read_tensor(f)
 
 
-def save_checkpoint(path, tensors: Iterable[tuple[str, Tensor]] | dict) -> None:
+def _replace(path, write) -> None:
+    """Write a file through ``write(f)`` into ``<path>.tmp``, then rename it
+    over ``path``: a reader finds the old file or the new one, never a torn one."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            write(f)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def save_checkpoint(path, tensors: Iterable[tuple[str, Tensor]], header: str) -> None:
     """Write named tensors as concatenated GGT1 records plus a text manifest.
 
-    Manifest lines are ``name b c h w byte_offset`` in write order.
+    The manifest is the header's lines, one blank line, then one line
+    ``name b c h w byte_offset`` per record in write order.
     """
-    if isinstance(tensors, dict):
-        tensors = tensors.items()
     lines = []
-    with open(path, "wb") as f:
+
+    def write_records(f):
         for name, t in tensors:
             if " " in name:
                 raise ValueError(f"tensor name {name!r} may not contain spaces")
-            offset = f.tell()
+            lines.append("%s %d %d %d %d %d" % (name, *t.shape, f.tell()))
             write_tensor(f, t)
-            lines.append("%s %d %d %d %d %d" % (name, *t.shape, offset))
-    with open(str(path) + ".manifest", "w") as f:
-        f.write("\n".join(lines) + "\n")
+
+    _replace(path, write_records)
+    text = "".join(line + "\n" for line in header.splitlines() + [""] + lines)
+    _replace(f"{path}.manifest", lambda f: f.write(text.encode()))
 
 
-def load_checkpoint(path) -> dict:
+def load_checkpoint(path) -> tuple[str, dict[str, Tensor]]:
+    """(header, name -> tensor) of a checkpoint written by ``save_checkpoint``."""
+    manifest = f"{path}.manifest"
+    with open(manifest, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    if "" not in lines:
+        raise ValueError(f"{manifest}: no header (a blank line ends it)")
+    cut = lines.index("")
     entries = []
-    with open(str(path) + ".manifest") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise ValueError(f"bad manifest line: {line!r}")
-            name, rest = parts[0], [int(v) for v in parts[1:]]
-            entries.append((name, tuple(rest[:4]), rest[4]))
+    for line in lines[cut + 1:]:
+        parts = line.split()
+        if len(parts) != 6:
+            raise ValueError(f"bad manifest line: {line!r}")
+        name, rest = parts[0], [int(v) for v in parts[1:]]
+        entries.append((name, tuple(rest[:4]), rest[4]))
     out: dict[str, Tensor] = {}
     with open(path, "rb") as f:
         for name, shape, offset in entries:
@@ -225,4 +244,4 @@ def load_checkpoint(path) -> dict:
             if t.shape != shape:
                 raise ValueError(f"manifest/record shape mismatch for {name}: {shape} vs {t.shape}")
             out[name] = t
-    return out
+    return "".join(line + "\n" for line in lines[:cut]), out

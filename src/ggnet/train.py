@@ -138,7 +138,7 @@ def train(config: TrainConfig, data_dir, out_dir, console=None) -> dict:
     log_lines = []
     best_map = -1.0
     best_epoch = -1
-    ckpt_path = out / "best.ckpt"
+    best_params = []
 
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate * (cfg.decay_factor if epoch >= cfg.decay_epoch else 1.0)
@@ -198,9 +198,10 @@ def train(config: TrainConfig, data_dir, out_dir, console=None) -> dict:
         if val_map > best_map:
             best_map = val_map
             best_epoch = epoch
-            model.save(ckpt_path)
-    if best_epoch < 0:
-        model.save(ckpt_path)
+            best_params = [t.data.copy() for _, t in model.named_tensors()]
+    for (_, t), data in zip(model.named_tensors(), best_params):
+        t.data[...] = data
+    model.save(out / "best.ckpt")
 
     metrics = {"best_epoch": best_epoch, "best_val_map": best_map,
                "skipped_steps": opt.skipped, "epochs": history}

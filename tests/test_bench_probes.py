@@ -32,7 +32,7 @@ def _attributes():
     return {(owner.__name__, attr): value for owner in owners for attr, value in vars(owner).items()}
 
 
-def test_benchmark_probes_install_run_and_uninstall_cleanly():
+def test_benchmark_probes_install_run_and_uninstall_cleanly(tmp_path):
     tracer = _tracer_module()
     before = _attributes()
     probe = tracer.StepProbe().install()
@@ -58,6 +58,12 @@ def test_benchmark_probes_install_run_and_uninstall_cleanly():
         assert counts["none:decoder.images"] == 3
         assert counts["none:decoder.peaks"] > 0
         assert decoder.select_candidates is not before[("ggnet.decoder", "select_candidates")]
+        # the checkpoint hook sizes the data file and its manifest by name
+        path = tmp_path / "tiny.ckpt"
+        model.save(path)
+        assert GGNet.load(path).config == model.config
+        manifest = tmp_path / "tiny.ckpt.manifest"
+        assert traced.checkpoint_bytes == path.stat().st_size + manifest.stat().st_size > 0
     finally:
         traced.uninstall()
         probe.uninstall()

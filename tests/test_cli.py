@@ -244,3 +244,64 @@ def test_tensor_to_rgb8_clips_and_scales():
     assert rgb.shape == (1, 2, 3)
     assert rgb[0, 0].tolist() == [0, 128, 255]
     assert rgb[0, 1].tolist() == [0, 255, 64]
+
+
+def test_cli_infer_manifest_without_header_exits_two(corrupt_split, tmp_path, capsys):
+    _, infer = corrupt_split
+    assert infer() == 0
+    manifest = tmp_path / "tiny.ckpt.manifest"
+    # the older layout: record lines only, the config in a separate sidecar
+    manifest.write_text(manifest.read_text().split("\n\n", 1)[1])
+    capsys.readouterr()
+    assert infer() == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {manifest}: no header")
+
+
+@pytest.fixture
+def eval_split(tmp_path):
+    """A small dataset, an empty triplet file, and a function that evaluates it."""
+    data = tmp_path / "data"
+    make_dataset(SceneSpec(seed=1, image_size=48), data, n_train=2, n_test=2)
+    dets = tmp_path / "dets.txt"
+    dets.write_text("")
+
+    def run_eval():
+        return main(["eval", "--dets", str(dets), "--gt", str(data)])
+    return data, dets, run_eval
+
+
+def test_cli_eval_bad_triplet_line_exits_two(eval_split, capsys):
+    _, dets, run_eval = eval_split
+    dets.write_text("test_0000 0 0 x 0 0 1 1 2 2 3 3\n")
+    assert run_eval() == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: {dets} line 1: bad triplet line 'test_0000 0 0 x 0 0 1 1 2 2 3 3': ")
+
+
+def test_cli_eval_bad_annotation_line_exits_two(eval_split, capsys):
+    data, _, run_eval = eval_split
+    annos = data / "annos" / "test.txt"
+    annos.write_text("test_0000 x 0 1 2 3 4 5 6 7 8\n" + annos.read_text())
+    assert run_eval() == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: {annos}: bad annotation line 'test_0000 x 0 1 2 3 4 5 6 7 8': ")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("n_train = abc", "error: key 'n_train': bad value 'abc'"),
+    ("n_test = 1.5", "error: key 'n_test': bad value '1.5'"),
+    ("n_train = -3", "error: n_train -3 and n_test 50 must be nonnegative"),
+])
+def test_cli_synth_bad_counts_exit_two(tmp_path, capsys, line, message):
+    scene_cfg = tmp_path / "scene.txt"
+    scene_cfg.write_text(line + "\n")
+    assert main(["synth", "--config", str(scene_cfg), "--out", str(tmp_path / "d")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(message)
+    assert not (tmp_path / "d").exists()

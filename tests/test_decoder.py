@@ -1,5 +1,7 @@
 """Peak selection, point matching, box decoding, triplet assembly."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -336,3 +338,13 @@ def test_triplet_text_roundtrip(tmp_path):
 def test_triplet_line_field_count():
     with pytest.raises(ValueError):
         parse_triplet_line("img 1 1 0.5 0 0 1 1 2 2 3")
+
+
+def test_bad_triplet_number_names_the_line_and_file(tmp_path):
+    bad = "img 1 1 x 0 0 1 1 2 2 3 3"
+    with pytest.raises(ValueError, match=re.escape(f"bad triplet line {bad!r}")):
+        parse_triplet_line(bad)
+    path = tmp_path / "trips.txt"
+    path.write_text("img 1 1 0.5 0 0 1 1 2 2 3 3\n\n" + bad + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path} line 3: bad triplet line {bad!r}")):
+        load_triplets(path)

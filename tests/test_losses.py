@@ -67,6 +67,12 @@ def test_annotation_line_field_count_enforced():
         parse_annotation_line("img 0 0 1 2 3 4 5 6 7")  # 10 fields
 
 
+def test_bad_annotation_number_names_the_line():
+    bad = "img x 0 1 2 3 4 5 6 7 8"
+    with pytest.raises(DataError, match=re.escape(f"bad annotation line {bad!r}")):
+        parse_annotation_line(bad)
+
+
 def test_parse_annotations_groups_by_image():
     lines = [
         "a 0 0 0 0 4 4 5 5 9 9",

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ggnet import model as mdl, ops
+from ggnet import model as mdl, ops, tensor
 from ggnet.model import (
     ActPointField,
     ForwardOutputs,
@@ -227,8 +227,8 @@ def test_save_load_roundtrip_bitwise(tmp_path):
     net = GGNet(cfg, seed=11)
     path = tmp_path / "model.ckpt"
     net.save(path)
-    assert (tmp_path / "model.ckpt.manifest").exists()
-    assert (tmp_path / "model.ckpt.config").exists()
+    # the config rides in the manifest's header: no sidecar beside the pair
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt", "model.ckpt.manifest"]
     back = GGNet.load(path)
     assert back.config == cfg
     orig = dict(net.named_tensors())
@@ -242,7 +242,8 @@ def test_load_rejects_missing_and_extra_tensors(tmp_path):
     net.save(path)
     manifest = tmp_path / "model.ckpt.manifest"
     lines = manifest.read_text().strip().splitlines()
-    manifest.write_text("\n".join(lines[1:]) + "\n")  # drop one tensor
+    first = lines.index("") + 1
+    manifest.write_text("\n".join(lines[:first] + lines[first + 1:]) + "\n")  # drop one tensor
     with pytest.raises(ConfigError, match="missing"):
         GGNet.load(path)
 
@@ -251,9 +252,32 @@ def test_load_rejects_config_model_shape_mismatch(tmp_path):
     net = GGNet(_cfg(channels=8), seed=13)
     path = tmp_path / "model.ckpt"
     net.save(path)
-    # rewrite the sidecar config with a different width; stored records no
-    # longer fit the rebuilt model
-    cfgfile = tmp_path / "model.ckpt.config"
-    cfgfile.write_text(cfgfile.read_text().replace("channels = 8", "channels = 16"))
+    # rewrite the manifest's config header with a different width; stored
+    # records no longer fit the rebuilt model
+    manifest = tmp_path / "model.ckpt.manifest"
+    manifest.write_text(manifest.read_text().replace("channels = 8", "channels = 16"))
     with pytest.raises(ShapeError):
         GGNet.load(path)
+
+
+def test_save_that_fails_partway_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    GGNet(_cfg(), seed=14).save(path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real_write, written = tensor.write_tensor, []
+
+    def write_then_fail(f, t):
+        if len(written) == 3:
+            raise OSError("disk full")
+        written.append(t)
+        real_write(f, t)
+
+    monkeypatch.setattr(tensor, "write_tensor", write_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        GGNet(_cfg(), seed=15).save(path)
+    monkeypatch.undo()
+    # same two files, same bytes: no torn record and no temporary left behind
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    orig = dict(GGNet(_cfg(), seed=14).named_tensors())
+    for name, t in GGNet.load(path).named_tensors():
+        assert np.array_equal(t.data, orig[name].data), name

@@ -96,7 +96,6 @@ def test_conv_params_bias_forms():
         ops.ConvParams(_t(rng, (1, 1, 2, 3)), [0.0])
     with pytest.raises(ConfigError):
         ops.ConvParams(w, [0, 0, 0], stride=0)
-    assert p.tensors()[0][0] == "weight" and p.tensors()[1][0] == "bias"
 
 
 def test_conv2d_backward_accumulates_bias_and_weight():

@@ -1,6 +1,7 @@
 """Synthetic scene generator: determinism, statistics, dataset layout."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,13 @@ def test_make_dataset_layout_and_loaders(tmp_path):
         load_split(out, "val")
 
 
+def test_make_dataset_rejects_negative_counts(tmp_path):
+    for counts in ((-3, 5), (5, -1)):
+        with pytest.raises(ConfigError, match="must be nonnegative"):
+            make_dataset(SceneSpec(seed=5, image_size=48), tmp_path / "neg", *counts)
+    assert not (tmp_path / "neg").exists()
+
+
 def test_make_dataset_respects_rare_cap(tmp_path):
     out = _build(tmp_path, "d2")
     spec = SceneSpec(seed=5, image_size=48)
@@ -217,6 +225,14 @@ def test_load_split_rejects_inconsistent_files(tmp_path):
     save_ggt(pack_path, Tensor.from_array(pack))
     with pytest.raises(DataError, match="non-finite"):
         load_split(out, "test")
+
+
+def test_load_split_names_the_file_of_a_bad_annotation_line(tmp_path):
+    out = _build(tmp_path, "d7")
+    annos = out / "annos" / "test.txt"
+    annos.write_text("test_0000 x 0 1 2 3 4 5 6 7 8\n" + annos.read_text())
+    with pytest.raises(DataError, match=re.escape(f"{annos}: bad annotation line 'test_0000 x 0 ")):
+        load_split(out, "test", with_images=False)
 
 
 def test_no_module_reads_environment_variables():

@@ -183,11 +183,14 @@ def test_checkpoint_roundtrip_and_manifest(tmp_path):
         ("layer0.bias", Tensor.from_array(np.zeros((1, 4, 1, 1), np.float32))),
     ]
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, named)
-    lines = (tmp_path / "model.ckpt.manifest").read_text().strip().splitlines()
-    assert lines[0].split() == ["layer0.weight", "4", "3", "3", "3", "0"]
-    assert lines[1].split()[0] == "layer0.bias"
-    back = load_checkpoint(path)
+    save_checkpoint(path, named, "a = 1\nb = two\n")
+    # the manifest carries the header, a blank line, then one line per record
+    lines = (tmp_path / "model.ckpt.manifest").read_text().splitlines()
+    assert lines[:3] == ["a = 1", "b = two", ""]
+    assert lines[3].split() == ["layer0.weight", "4", "3", "3", "3", "0"]
+    assert lines[4].split()[0] == "layer0.bias"
+    header, back = load_checkpoint(path)
+    assert header == "a = 1\nb = two\n"
     assert set(back) == {"layer0.weight", "layer0.bias"}
     for name, t in named:
         assert np.array_equal(back[name].data, t.data)
@@ -195,12 +198,29 @@ def test_checkpoint_roundtrip_and_manifest(tmp_path):
 
 def test_checkpoint_rejects_spaces_in_names(tmp_path):
     with pytest.raises(ValueError, match="spaces"):
-        save_checkpoint(tmp_path / "x.ckpt", [("bad name", Tensor((1, 1, 1, 1)))])
+        save_checkpoint(tmp_path / "x.ckpt", [("bad name", Tensor((1, 1, 1, 1)))], "")
 
 
 def test_checkpoint_rejects_bad_manifest(tmp_path):
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, [("w", Tensor((1, 1, 1, 1), [1.0]))])
-    (tmp_path / "m.ckpt.manifest").write_text("w 1 1 1 1\n")  # missing offset
+    save_checkpoint(path, [("w", Tensor((1, 1, 1, 1), [1.0]))], "")
+    (tmp_path / "m.ckpt.manifest").write_text("\nw 1 1 1 1\n")  # missing offset
     with pytest.raises(ValueError, match="manifest"):
         load_checkpoint(path)
+
+
+def test_checkpoint_manifest_without_header_names_the_file(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, [("w", Tensor((1, 1, 1, 1), [1.0]))], "k = 1\n")
+    (tmp_path / "m.ckpt.manifest").write_text("w 1 1 1 1 0\n")  # no header, no blank line
+    with pytest.raises(ValueError, match="m.ckpt.manifest: no header"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_save_replaces_both_files_through_temporaries(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, [("w", Tensor((1, 1, 1, 1), [1.0]))], "k = 1\n")
+    save_checkpoint(path, [("w", Tensor((1, 1, 1, 1), [2.0]))], "k = 2\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "m.ckpt.manifest"]
+    header, back = load_checkpoint(path)
+    assert header == "k = 2\n" and back["w"].item() == 2.0

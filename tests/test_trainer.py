@@ -1,10 +1,13 @@
 """Config text binding, the optimizer, and the training loop."""
 
+import importlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from ggnet import model as model_module
 from ggnet.configio import (
     apply_kv,
     dataclass_from_kv,
@@ -12,7 +15,6 @@ from ggnet.configio import (
     format_kv,
     parse_kv_text,
     read_kv_file,
-    write_kv_file,
 )
 from ggnet.model import GGNet
 from ggnet.optim import AdamState, adam_step
@@ -49,7 +51,7 @@ def test_config_dataclass_binding_roundtrip(tmp_path):
     assert kv["use_gaze2"] == "false" and kv["epochs"] == "3"
     assert dataclass_from_kv(TrainConfig, kv) == cfg
     path = tmp_path / "cfg.txt"
-    write_kv_file(path, kv)
+    path.write_text(format_kv(kv))
     assert read_kv_file(path) == kv
     assert "epochs = 3\n" in format_kv(kv)
 
@@ -164,9 +166,9 @@ def test_train_loop_artifacts_and_decay(tiny_data, tmp_path):
     out = tmp_path / "run"
     lines = []
     metrics = train(_tiny_config(), tiny_data, out, console=lines.append)
-    for name in ["best.ckpt", "best.ckpt.manifest", "best.ckpt.config",
-                 "metrics.json", "train_log.txt"]:
+    for name in ["best.ckpt", "best.ckpt.manifest", "metrics.json", "train_log.txt"]:
         assert (out / name).exists(), name
+    assert not (out / "best.ckpt.config").exists()  # the config is the manifest's header
     assert metrics["skipped_steps"] == 0
     assert len(metrics["epochs"]) == 2
     rec0, rec1 = metrics["epochs"]
@@ -194,8 +196,7 @@ def test_train_loop_bitwise_deterministic(tiny_data, tmp_path):
     m1 = train(_tiny_config(), tiny_data, tmp_path / "a")
     m2 = train(_tiny_config(), tiny_data, tmp_path / "b")
     assert m1 == m2
-    for name in ["metrics.json", "train_log.txt", "best.ckpt",
-                 "best.ckpt.manifest", "best.ckpt.config"]:
+    for name in ["metrics.json", "train_log.txt", "best.ckpt", "best.ckpt.manifest"]:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
@@ -210,3 +211,33 @@ def test_run_inference_covers_every_sample(tiny_data):
         assert len(trips) <= 10
         for t in trips:
             assert (t.verb, t.object_class) in table.meaningful
+
+
+def test_train_saves_once_from_the_first_best_epoch(tiny_data, tmp_path, monkeypatch):
+    # scripted validation mAPs: epochs 1 and 3 tie for best, so epoch 1 is kept
+    maps = iter([0.2, 0.5, 0.1, 0.5])
+    seen = []
+
+    def scripted_validation(model, samples, table, **kwargs):
+        seen.append({name: t.data.copy() for name, t in model.named_tensors()})
+        return SimpleNamespace(full_map=next(maps))
+
+    real_save, saves = model_module.save_checkpoint, []
+
+    def counted_save(path, *args):
+        saves.append(path)
+        real_save(path, *args)
+
+    # the package exports the function train(), so fetch the module by its full name
+    train_module = importlib.import_module("ggnet.train")
+    monkeypatch.setattr(train_module, "evaluate_model", scripted_validation)
+    monkeypatch.setattr(model_module, "save_checkpoint", counted_save)
+    out = tmp_path / "run"
+    metrics = train(_tiny_config(epochs=4, decay_epoch=3), tiny_data, out)
+    assert saves == [out / "best.ckpt"]
+    assert metrics["best_epoch"] == 1 and metrics["best_val_map"] == 0.5
+    back = dict(GGNet.load(out / "best.ckpt").named_tensors())
+    assert back.keys() == seen[1].keys()
+    for name, data in seen[1].items():
+        assert np.array_equal(back[name].data, data), name
+    assert any(not np.array_equal(back[name].data, data) for name, data in seen[3].items())
