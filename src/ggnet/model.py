@@ -191,7 +191,11 @@ class GGNet:
     @classmethod
     def load(cls, path) -> "GGNet":
         header, stored = load_checkpoint(path)
-        model = cls(dataclass_from_kv(ModelConfig, parse_kv_text(header)), seed=0)
+        try:
+            config = dataclass_from_kv(ModelConfig, parse_kv_text(header))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}.manifest: {exc}") from None
+        model = cls(config, seed=0)
         expected = dict(model.named_tensors())
         missing = sorted(set(expected) - set(stored))
         extra = sorted(set(stored) - set(expected))

@@ -265,23 +265,35 @@ def combine_scalars(terms: list[tuple[float, Tensor]]) -> Tensor:
 
 # ===== Bilinear sampling =====
 
-class _Sampling(NamedTuple):
-    """Bilinear sampling record for coords (B, ...) on an H x W map; no channel
-    axis. Per corner (00, 01, 10, 11 as dy, dx): flat pixel index (0 where
-    invalid), validity mask and bilinear weight; then the in-cell fractions."""
+def _planes(data: np.ndarray) -> np.ndarray:
+    """(B, C, H, W) map as float64 channel-major planes (C, B*(H+3)*(W+2)): each
+    image's H x W block sits in a one-pixel zero border with a spare zero row below."""
+    b, c, h, w = data.shape
+    planes = np.zeros((c, b, h + 3, w + 2))
+    planes[:, :, 1:h + 1, 1:w + 1] = data.transpose(1, 0, 2, 3)
+    return planes.reshape(c, -1)
 
-    index: tuple
-    valid: tuple
+
+class _Sampling(NamedTuple):
+    """Bilinear sampling record for coords (B, n, P) on an H x W map; no channel
+    axis. ``base`` is corner 00's column in the ``_planes`` of that map; corners
+    00, 01, 10, 11 (as dy, dx) sit at base + ``steps``. Then the four bilinear
+    weights and the in-cell fractions."""
+
+    base: np.ndarray
+    steps: tuple
     weight: tuple
     fx: np.ndarray
     fy: np.ndarray
 
 
 def _sampling(xs: np.ndarray, ys: np.ndarray, h: int, w: int) -> _Sampling:
-    """Record for float64 coords (B, ...) against an h x w map.
+    """Record for float64 coords (B, n, P) against an h x w map.
 
     The cell is chosen as ceil(coord)-1: identical to floor off the integer
-    grid, and yields the left-cell subgradient exactly on it.
+    grid, and yields the left-cell subgradient exactly on it. A cell outside
+    [-1, w-1] x [-1, h-1] has all four corners off the map; its base is the
+    start of the bottom border row, so they read the border and spare row.
     """
     x0 = np.ceil(xs) - 1.0
     y0 = np.ceil(ys) - 1.0
@@ -289,66 +301,60 @@ def _sampling(xs: np.ndarray, ys: np.ndarray, h: int, w: int) -> _Sampling:
     fy = ys - y0
     x0i = x0.astype(np.int64)
     y0i = y0.astype(np.int64)
-    index = []
-    valid = []
-    for dy in (0, 1):
-        for dx in (0, 1):
-            xi = x0i + dx
-            yi = y0i + dy
-            ok = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-            index.append(np.where(ok, yi * w + xi, 0))
-            valid.append(ok)
+    row = w + 2
+    inside = (x0i >= -1) & (x0i < w) & (y0i >= -1) & (y0i < h)
+    image = np.arange(xs.shape[0], dtype=np.int64).reshape(-1, 1, 1)
+    base = np.where(inside, (y0i + 1) * row + x0i + 1, (h + 1) * row) + image * (h + 3) * row
     weight = ((1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx)
-    return _Sampling(tuple(index), tuple(valid), weight, fx, fy)
+    return _Sampling(base, (0, 1, row, row + 1), weight, fx, fy)
 
 
-def _corners(data: np.ndarray, rec: _Sampling):
-    """Yield the four corner reads of contiguous (B, C, H, W) data one at a time:
-    (B, C, ...) float64 from one flat ``np.take`` at index + (batch*C + channel)*H*W;
-    an invalid corner reads +0.0, whatever its plane holds."""
-    b, c, h, w = data.shape
-    flat = data.reshape(-1)
-    plane = (np.arange(b * c, dtype=np.int64) * (h * w)).reshape(b, c, 1)
-    for idx, ok in zip(rec.index, rec.valid):
-        v = np.take(flat, idx.reshape(b, 1, -1) + plane)
-        v = v.reshape(b, c, *idx.shape[1:]).astype(np.float64)
-        np.copyto(v, 0.0, where=~ok[:, None])
-        yield v
+def _corners(planes: np.ndarray, rec: _Sampling):
+    """Yield the four corner reads (C, B, n, P) of ``_planes`` one at a time; an
+    off-map corner reads the zero border."""
+    for step in rec.steps:
+        yield np.take(planes, rec.base + step, axis=1)
 
 
-def _interpolate(rec: _Sampling, corners) -> np.ndarray:
-    """Bilinear values (B, C, ...) float64: weighted corners added in corner order."""
-    terms = (wt[:, None] * v for wt, v in zip(rec.weight, corners))
+def _interpolate(rec: _Sampling, corners, mw) -> np.ndarray:
+    """Patches (B, C*n, P) float64: the corner reads (C, B, n, P), each weighted
+    in place and added in corner order, times the tap weights ``mw`` (B, 1, n, P)."""
+    terms = (np.multiply(wt, v, out=v) for wt, v in zip(rec.weight, corners))
     vals = next(terms)
     for term in terms:
         vals += term
-    return vals
+    c, b, n, p = vals.shape
+    patches = np.multiply(vals.transpose(1, 0, 2, 3), mw, out=np.empty((b, c, n, p)))
+    return patches.reshape(b, c * n, p)
 
 
 def _scatter(rec: _Sampling, grad: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Adjoint of the bilinear read: grads (B, C, ...) onto a (B, C, h, w) float64 map.
+    """Adjoint of the bilinear read: grads (B, C, n, P) onto a (B, C, h, w) float64 map.
 
-    One bincount over bins ordered (corner, batch, channel, pixel): each pixel
-    sums corner by corner, then in sample order.
+    One bincount onto the bordered planes over contributions ordered (corner,
+    channel, sample): each pixel sums corner by corner, then in sample order.
+    Off-map corners land in the border, which is dropped.
     """
     b, c = grad.shape[:2]
-    plane = (np.arange(b * c, dtype=np.int64) * (h * w)).reshape(b, c, 1)
-    idx = np.empty((4, b, c, grad[0, 0].size), np.int64)
-    contrib = np.empty((4,) + grad.shape, np.float64)
-    for i in range(4):
-        np.add(rec.index[i].reshape(b, 1, -1), plane, out=idx[i])
-        np.multiply(grad, (rec.weight[i] * rec.valid[i])[:, None], out=contrib[i])
-    flat = np.bincount(idx.reshape(-1), weights=contrib.reshape(-1), minlength=b * c * h * w)
-    return flat.reshape(b, c, h, w)
+    size = b * (h + 3) * (w + 2)
+    plane = (np.arange(c, dtype=np.int64) * size).reshape(c, 1, 1, 1)
+    g = np.moveaxis(grad, 1, 0)
+    idx = np.empty((4,) + g.shape, np.int64)
+    contrib = np.empty((4,) + g.shape, np.float64)
+    for i, step in enumerate(rec.steps):
+        np.add(rec.base + step, plane, out=idx[i])
+        np.multiply(g, rec.weight[i], out=contrib[i])
+    flat = np.bincount(idx.reshape(-1), weights=contrib.reshape(-1), minlength=c * size)
+    return flat.reshape(c, b, h + 3, w + 2)[:, :, 1:h + 1, 1:w + 1].transpose(1, 0, 2, 3)
 
 
 def bilinear_sample(featmap: Tensor, x: float, y: float, channel: int, batch: int = 0) -> float:
     """Bilinear read of one channel at continuous (x, y); zero outside the map.
     A one-point call of the sampler that ``deform_aggregate`` runs."""
     _, _, h, w = featmap.shape
-    rec = _sampling(np.full((1, 1), x, np.float64), np.full((1, 1), y, np.float64), h, w)
-    plane = featmap.data[batch, channel][None, None]
-    return float(_interpolate(rec, _corners(plane, rec))[0, 0, 0])
+    rec = _sampling(np.full((1, 1, 1), x, np.float64), np.full((1, 1, 1), y, np.float64), h, w)
+    planes = _planes(featmap.data[batch, channel][None, None])
+    return float(_interpolate(rec, _corners(planes, rec), 1.0)[0, 0, 0])
 
 
 def _tap_grid(k: int, stride: int, padding: int, ho: int, wo: int):
@@ -369,11 +375,12 @@ def deform_aggregate(featmap: Tensor, offsets: Tensor, weights: Tensor,
     For each output pixel and each of the n = k*k taps, sample ``featmap``
     bilinearly at (regular grid position + per-pixel offset), scale by the
     tap's per-pixel weight, then contract with the kernel exactly like conv2d.
-    Corners outside the map read zero. Offsets channel layout: [2t] = tap t's
-    x offset, [2t+1] = its y offset, taps in row-major kernel order. The
-    backward pass re-gathers the corners through the kept sampling record;
-    the tap-weight and offset grads, linear in the corner reads v_i, come
-    from the four channel sums a_i = sum_c gpatch * v_i.
+    Corners outside the map read the zero border of the sampler's planes.
+    Offsets channel layout: [2t] = tap t's x offset, [2t+1] = its y offset,
+    taps in row-major kernel order. The backward pass re-gathers the corners
+    from the kept planes and sampling record; the tap-weight and offset grads,
+    linear in the corner reads v_i, come from the four channel sums
+    a_i = sum_c gpatch * v_i.
     """
     _count("deform_aggregate")
     b, c, h, w = featmap.shape
@@ -398,9 +405,9 @@ def deform_aggregate(featmap: Tensor, offsets: Tensor, weights: Tensor,
     xs = (gx[None] + offsets.data[:, 0::2].astype(np.float64)).reshape(b, n, p)
     ys = (gy[None] + offsets.data[:, 1::2].astype(np.float64)).reshape(b, n, p)
     rec = _sampling(xs, ys, h, w)
+    planes = _planes(featmap.data)
     mw = weights.data.astype(np.float64).reshape(b, 1, n, p)
-    patches = (_interpolate(rec, _corners(featmap.data, rec)) * mw).reshape(b, c * n, p)
-    out64 = _contract(patches, params)
+    out64 = _contract(_interpolate(rec, _corners(planes, rec), mw), params)
     out = Tensor.from_array(out64.reshape(b, params.out_channels, ho, wo).astype(np.float32))
 
     t = active_tape()
@@ -414,17 +421,17 @@ def deform_aggregate(featmap: Tensor, offsets: Tensor, weights: Tensor,
             a = []  # per corner: sum over channels of gpatch * corner read, (b, n, p)
 
             def recorded(corners):
-                for v in corners:
-                    a.append(np.einsum("bcnp,bcnp->bnp", gpatch, v))
+                for v in corners:  # read v before _interpolate weights it in place
+                    a.append(np.einsum("bcnp,cbnp->bnp", gpatch, v))
                     yield v
 
-            vals = _interpolate(rec, recorded(_corners(featmap.data, rec)))
+            patches = _interpolate(rec, recorded(_corners(planes, rec)), mw)
             if params.bias.requires_grad:
                 params.bias.add_grad(go.sum(axis=(0, 2)).reshape(1, -1, 1, 1))
             if params.weight.requires_grad:
-                gw = np.einsum("bon,bkn->ok", go, (vals * mw).reshape(b, c * n, p), optimize=True)
+                gw = np.einsum("bon,bkn->ok", go, patches, optimize=True)
                 params.weight.add_grad(gw.reshape(params.weight.shape))
-            del vals  # channel-sized: free it before the scatter
+            del patches  # channel-sized: free it before the scatter
             a00, a01, a10, a11 = a
             if weights.requires_grad:
                 w00, w01, w10, w11 = rec.weight

@@ -259,6 +259,16 @@ def test_cli_infer_manifest_without_header_exits_two(corrupt_split, tmp_path, ca
     assert captured.err.startswith(f"error: {manifest}: no header")
 
 
+def test_cli_infer_bad_config_header_names_the_manifest(corrupt_split, tmp_path, capsys):
+    _, infer = corrupt_split
+    manifest = tmp_path / "tiny.ckpt.manifest"
+    manifest.write_text(manifest.read_text().replace("channels = 4", "channels = four"))
+    assert infer() == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {manifest}: key 'channels': bad value 'four'")
+
+
 @pytest.fixture
 def eval_split(tmp_path):
     """A small dataset, an empty triplet file, and a function that evaluates it."""

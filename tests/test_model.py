@@ -260,6 +260,21 @@ def test_load_rejects_config_model_shape_mismatch(tmp_path):
         GGNet.load(path)
 
 
+@pytest.mark.parametrize("old,new,why", [
+    ("channels = 8", "channels = four", "key 'channels': bad value 'four'"),
+    ("channels = 8", "chanels = 8", "unknown config keys: chanels"),
+    ("num_points = 9", "num_points = 4", "num_points=4 must be an odd perfect square"),
+])
+def test_load_names_the_manifest_of_a_bad_config_header(tmp_path, old, new, why):
+    path = tmp_path / "model.ckpt"
+    GGNet(_cfg(), seed=15).save(path)
+    manifest = tmp_path / "model.ckpt.manifest"
+    manifest.write_text(manifest.read_text().replace(old, new))
+    with pytest.raises(ConfigError) as err:
+        GGNet.load(path)
+    assert str(err.value).startswith(f"{manifest}: ") and why in str(err.value)
+
+
 def test_save_that_fails_partway_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
     path = tmp_path / "model.ckpt"
     GGNet(_cfg(), seed=14).save(path)

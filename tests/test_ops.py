@@ -272,10 +272,65 @@ def test_deform_aggregate_matches_oracle(seed, stride, field, k):
         np.testing.assert_allclose(t.grad, want_grad.reshape(t.shape), rtol=1e-6, atol=1e-6)
 
 
+def _tap_offsets(rng, b, n, h, w, k, stride, pad, ho, wo):
+    """Offsets whose taps mix four kinds: on the map, on the integer grid,
+    straddling an edge (cell at -1 or w-1 / h-1) and far off the map."""
+    tx, ty = np.tile(np.arange(k), k), np.repeat(np.arange(k), k)
+    grid = [(tx[:, None, None] + np.arange(wo)[None, None] * stride - pad) * np.ones((1, ho, 1)),
+            (ty[:, None, None] + np.arange(ho)[None, :, None] * stride - pad) * np.ones((1, 1, wo))]
+    kind = rng.integers(0, 4, (b, n, ho, wo))
+    off = np.empty((b, 2 * n, ho, wo))
+    for axis, size in ((0, w), (1, h)):
+        on_map = rng.uniform(-0.5, size - 0.5, kind.shape)
+        edge = np.where(rng.integers(0, 2, kind.shape) == 0,
+                        rng.uniform(-1.0, 0.0, kind.shape), rng.uniform(size - 1.0, size, kind.shape))
+        far = rng.choice([-1.0, 1.0], kind.shape) * rng.uniform(20.0, 40.0, kind.shape) + size / 2
+        target = np.choose(kind, [on_map, np.round(on_map), edge, far])
+        off[:, axis::2] = target - grid[axis][None]
+    return off.astype(np.float32)
+
+
+@st.composite
+def _deform_geometry(draw):
+    k = draw(st.sampled_from([1, 3, 5]))
+    stride, pad = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    least = max(1, k - 2 * pad)  # smallest map with one output pixel
+    h = draw(st.integers(least, least + 5))
+    w = draw(st.sampled_from([v for v in range(least, least + 6) if v != h]))
+    return (draw(st.integers(1, 3)), draw(st.integers(1, 4)), h, w, draw(st.integers(1, 3)),
+            k, stride, pad, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_deform_geometry())
+def test_deform_aggregate_matches_oracle_over_random_geometry(case):
+    b, c, h, w, cout, k, stride, pad, seed = case
+    rng = np.random.default_rng(seed)
+    n = k * k
+    ho = (h + 2 * pad - k) // stride + 1
+    wo = (w + 2 * pad - k) // stride + 1
+    fm = _t(rng, (b, c, h, w))
+    off = Tensor.from_array(_tap_offsets(rng, b, n, h, w, k, stride, pad, ho, wo))
+    wts = _t(rng, (b, n, ho, wo), -0.5, 1.5)
+    p = ops.ConvParams(_t(rng, (cout, c, k, k)), rng.uniform(-0.5, 0.5, cout),
+                       stride=stride, padding=pad)
+    with tape() as tp:
+        got = ops.deform_aggregate(fm, off, wts, p)
+        tp.backward(ops.weighted_sum(got, rng.uniform(-1, 1, got.shape)))
+    want = deform_aggregate_ref(fm.data, off.data, wts.data, p.weight.data,
+                                p.bias.data.reshape(-1), stride=stride, padding=pad)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got.data, want, atol=1e-5)
+    want_grads = deform_aggregate_grad_ref(fm.data, off.data, wts.data, p.weight.data,
+                                           got.grad, stride=stride, padding=pad)
+    for t, want_grad in zip((fm, off, wts, p.weight, p.bias), want_grads):
+        np.testing.assert_allclose(t.grad, want_grad.reshape(t.shape), rtol=1e-5, atol=1e-5)
+
+
 def test_deform_aggregate_zero_offsets_unit_weights_is_conv2d():
     rng = np.random.default_rng(5)
     fm = _t(rng, (2, 3, 8, 8))
-    # negative border: an off-map tap reads its plane's pixel 0 before masking
+    # negative border: off-map taps read the zero border, and the sum must stay +0.0
     fm.data[:, :, [0, -1], :] = -np.abs(fm.data[:, :, [0, -1], :])
     fm.data[:, :, :, [0, -1]] = -np.abs(fm.data[:, :, :, [0, -1]])
     p = ops.ConvParams(_t(rng, (4, 3, 5, 5)), rng.uniform(-1, 1, 4), padding=2)
