@@ -1,7 +1,7 @@
 """Glance-and-gaze human-object-interaction detector, built on a hand-rolled
 reverse-mode tensor core. See README.md for the tour."""
 
-from .decoder import HoiTriplet, assemble_triplets, decode_box, match_point, select_candidates
+from .decoder import HoiTriplet, assemble_triplets, match_point, select_candidates
 from .evaluator import EvalResult, average_precision, evaluate, iou
 from .gradcheck import finite_diff_check, standard_checks
 from .losses import (HoiAnnotation, HoiCategoryTable, build_mask, centernet_focal,

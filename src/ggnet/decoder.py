@@ -16,7 +16,7 @@ import numpy as np
 
 from .losses import HoiCategoryTable
 from .model import ForwardOutputs
-from .ops import maxpool_nms, topk
+from .ops import check_index, maxpool_nms, topk
 from .tensor import Tensor
 
 
@@ -54,6 +54,7 @@ def select_candidates(heatmap: Tensor, k: int = 100, batch: int = 0) -> np.ndarr
     """Peak-isolate one image with a 3x3 max filter, then take its k best
     pixels across all channels as ``topk`` rows (score, channel, y, x).
     Suppressed (zeroed) pixels never become candidates."""
+    check_index("batch", batch, heatmap.shape[0])
     rows = topk(maxpool_nms(Tensor.from_array(heatmap.data[batch][None])), k)
     return rows[rows[:, 0] > 0.0]
 
@@ -105,15 +106,6 @@ def _decode_boxes(x: np.ndarray, y: np.ndarray, wh: np.ndarray, reg: np.ndarray,
     return boxes, ~bad
 
 
-def decode_box(x: int, y: int, det_wh: Tensor, det_reg: Tensor,
-               stride: int, batch: int = 0) -> Box | None:
-    """Center pixel (x, y) -> input-image-pixel box, clamped to image bounds.
-    Returns None for degenerate (nonpositive-size) boxes."""
-    boxes, ok = _decode_boxes(np.array([x], np.float64), np.array([y], np.float64),
-                              det_wh.data[batch], det_reg.data[batch], stride)
-    return tuple(boxes[0].tolist()) if ok[0] else None
-
-
 def _meaningful(table: HoiCategoryTable, verbs: int, objects: int) -> np.ndarray:
     """Boolean (verb, object) lookup of the table's meaningful pairs, large
     enough for both the table and the heatmaps' channel counts."""
@@ -130,6 +122,7 @@ def assemble_triplets(outputs: ForwardOutputs, stride: int, k: int = 100,
     sorted by descending combined score (stable). Passing a category table
     drops pairs outside its meaningful set. Every peak that yields no triplet
     is counted in ``drop_counts``."""
+    check_index("batch", batch, outputs.det_center.shape[0])
     det = outputs.det_center.data[batch][None]
     interactions = select_candidates(outputs.interaction_map, k, batch=batch)
     humans = select_candidates(Tensor.from_array(det[:, :1]), k)

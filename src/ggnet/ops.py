@@ -28,6 +28,12 @@ def _count(name: str) -> None:
     op_counts[name] = op_counts.get(name, 0) + 1
 
 
+def check_index(name: str, index: int, size: int) -> None:
+    """Reject an index outside [0, size): a negative one would wrap silently."""
+    if not 0 <= index < size:
+        raise ShapeError(f"{name} index {index} out of range [0, {size})")
+
+
 class ConvParams:
     """Square-kernel convolution parameters.
 
@@ -276,13 +282,12 @@ def _planes(data: np.ndarray) -> np.ndarray:
 
 class _Sampling(NamedTuple):
     """Bilinear sampling record for coords (B, n, P) on an H x W map; no channel
-    axis. ``base`` is corner 00's column in the ``_planes`` of that map; corners
-    00, 01, 10, 11 (as dy, dx) sit at base + ``steps``. Then the four bilinear
-    weights and the in-cell fractions."""
+    axis. ``idx`` (4, B, n, P) holds the columns of corners 00, 01, 10, 11 (as
+    dy, dx) in one ``_planes`` row of that map, ``weight`` (4, B, n, P) their
+    bilinear weights; then the in-cell fractions."""
 
-    base: np.ndarray
-    steps: tuple
-    weight: tuple
+    idx: np.ndarray
+    weight: np.ndarray
     fx: np.ndarray
     fy: np.ndarray
 
@@ -292,8 +297,8 @@ def _sampling(xs: np.ndarray, ys: np.ndarray, h: int, w: int) -> _Sampling:
 
     The cell is chosen as ceil(coord)-1: identical to floor off the integer
     grid, and yields the left-cell subgradient exactly on it. A cell outside
-    [-1, w-1] x [-1, h-1] has all four corners off the map; its base is the
-    start of the bottom border row, so they read the border and spare row.
+    [-1, w-1] x [-1, h-1] has all four corners off the map; its corner 00 is
+    the start of the bottom border row, so they read the border and spare row.
     """
     x0 = np.ceil(xs) - 1.0
     y0 = np.ceil(ys) - 1.0
@@ -305,56 +310,41 @@ def _sampling(xs: np.ndarray, ys: np.ndarray, h: int, w: int) -> _Sampling:
     inside = (x0i >= -1) & (x0i < w) & (y0i >= -1) & (y0i < h)
     image = np.arange(xs.shape[0], dtype=np.int64).reshape(-1, 1, 1)
     base = np.where(inside, (y0i + 1) * row + x0i + 1, (h + 1) * row) + image * (h + 3) * row
-    weight = ((1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx)
-    return _Sampling(base, (0, 1, row, row + 1), weight, fx, fy)
+    idx = base + np.array([0, 1, row, row + 1]).reshape(4, 1, 1, 1)
+    weight = np.stack(((1 - fy) * (1 - fx), (1 - fy) * fx, fy * (1 - fx), fy * fx))
+    return _Sampling(idx, weight, fx, fy)
 
 
-def _corners(planes: np.ndarray, rec: _Sampling):
-    """Yield the four corner reads (C, B, n, P) of ``_planes`` one at a time; an
-    off-map corner reads the zero border."""
-    for step in rec.steps:
-        yield np.take(planes, rec.base + step, axis=1)
-
-
-def _interpolate(rec: _Sampling, corners, mw) -> np.ndarray:
-    """Patches (B, C*n, P) float64: the corner reads (C, B, n, P), each weighted
-    in place and added in corner order, times the tap weights ``mw`` (B, 1, n, P)."""
-    terms = (np.multiply(wt, v, out=v) for wt, v in zip(rec.weight, corners))
-    vals = next(terms)
-    for term in terms:
+def _blend(rec: _Sampling, reads: np.ndarray) -> np.ndarray:
+    """Bilinear values (B, n, P) from the four corner reads (4, B, n, P) of one
+    plane: each weighted in place, then added in corner order."""
+    reads *= rec.weight
+    vals = reads[0]
+    for term in reads[1:]:
         vals += term
-    c, b, n, p = vals.shape
-    patches = np.multiply(vals.transpose(1, 0, 2, 3), mw, out=np.empty((b, c, n, p)))
+    return vals
+
+
+def _interpolate(rec: _Sampling, planes: np.ndarray, mw) -> np.ndarray:
+    """Patches (B, C*n, P) float64 from ``_planes``, one channel at a time: the
+    blended corner reads times the tap weights ``mw`` (B, n, P)."""
+    c = planes.shape[0]
+    _, b, n, p = rec.idx.shape
+    patches = np.empty((b, c, n, p))
+    for ch, plane in enumerate(planes):
+        np.multiply(_blend(rec, np.take(plane, rec.idx)), mw, out=patches[:, ch])
     return patches.reshape(b, c * n, p)
-
-
-def _scatter(rec: _Sampling, grad: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Adjoint of the bilinear read: grads (B, C, n, P) onto a (B, C, h, w) float64 map.
-
-    One bincount onto the bordered planes over contributions ordered (corner,
-    channel, sample): each pixel sums corner by corner, then in sample order.
-    Off-map corners land in the border, which is dropped.
-    """
-    b, c = grad.shape[:2]
-    size = b * (h + 3) * (w + 2)
-    plane = (np.arange(c, dtype=np.int64) * size).reshape(c, 1, 1, 1)
-    g = np.moveaxis(grad, 1, 0)
-    idx = np.empty((4,) + g.shape, np.int64)
-    contrib = np.empty((4,) + g.shape, np.float64)
-    for i, step in enumerate(rec.steps):
-        np.add(rec.base + step, plane, out=idx[i])
-        np.multiply(g, rec.weight[i], out=contrib[i])
-    flat = np.bincount(idx.reshape(-1), weights=contrib.reshape(-1), minlength=c * size)
-    return flat.reshape(c, b, h + 3, w + 2)[:, :, 1:h + 1, 1:w + 1].transpose(1, 0, 2, 3)
 
 
 def bilinear_sample(featmap: Tensor, x: float, y: float, channel: int, batch: int = 0) -> float:
     """Bilinear read of one channel at continuous (x, y); zero outside the map.
     A one-point call of the sampler that ``deform_aggregate`` runs."""
-    _, _, h, w = featmap.shape
+    b, c, h, w = featmap.shape
+    check_index("batch", batch, b)
+    check_index("channel", channel, c)
     rec = _sampling(np.full((1, 1, 1), x, np.float64), np.full((1, 1, 1), y, np.float64), h, w)
     planes = _planes(featmap.data[batch, channel][None, None])
-    return float(_interpolate(rec, _corners(planes, rec), 1.0)[0, 0, 0])
+    return float(_interpolate(rec, planes, 1.0)[0, 0, 0])
 
 
 def _tap_grid(k: int, stride: int, padding: int, ho: int, wo: int):
@@ -377,10 +367,11 @@ def deform_aggregate(featmap: Tensor, offsets: Tensor, weights: Tensor,
     tap's per-pixel weight, then contract with the kernel exactly like conv2d.
     Corners outside the map read the zero border of the sampler's planes.
     Offsets channel layout: [2t] = tap t's x offset, [2t+1] = its y offset,
-    taps in row-major kernel order. The backward pass re-gathers the corners
-    from the kept planes and sampling record; the tap-weight and offset grads,
-    linear in the corner reads v_i, come from the four channel sums
-    a_i = sum_c gpatch * v_i.
+    taps in row-major kernel order. Forward and backward walk the planes one
+    channel at a time. The backward pass re-reads the corners from the kept
+    planes and sampling record; the tap-weight and offset grads, linear in the
+    corner reads v_i, come from the four channel sums a_i = sum_c gpatch * v_i,
+    and the feature grad is one bincount per channel over the record's index.
     """
     _count("deform_aggregate")
     b, c, h, w = featmap.shape
@@ -406,8 +397,8 @@ def deform_aggregate(featmap: Tensor, offsets: Tensor, weights: Tensor,
     ys = (gy[None] + offsets.data[:, 1::2].astype(np.float64)).reshape(b, n, p)
     rec = _sampling(xs, ys, h, w)
     planes = _planes(featmap.data)
-    mw = weights.data.astype(np.float64).reshape(b, 1, n, p)
-    out64 = _contract(_interpolate(rec, _corners(planes, rec), mw), params)
+    mw = weights.data.astype(np.float64).reshape(b, n, p)
+    out64 = _contract(_interpolate(rec, planes, mw), params)
     out = Tensor.from_array(out64.reshape(b, params.out_channels, ho, wo).astype(np.float32))
 
     t = active_tape()
@@ -418,35 +409,41 @@ def deform_aggregate(featmap: Tensor, offsets: Tensor, weights: Tensor,
             go = out.grad.reshape(b, params.out_channels, p).astype(np.float64)
             wt = params.weight.data.reshape(params.out_channels, -1).astype(np.float64)
             gpatch = np.matmul(wt.T[None], go).reshape(b, c, n, p)
-            a = []  # per corner: sum over channels of gpatch * corner read, (b, n, p)
-
-            def recorded(corners):
-                for v in corners:  # read v before _interpolate weights it in place
-                    a.append(np.einsum("bcnp,cbnp->bnp", gpatch, v))
-                    yield v
-
-            patches = _interpolate(rec, recorded(_corners(planes, rec)), mw)
+            patches = np.empty((b, c, n, p))
+            a = np.zeros((4, b, n, p))  # per corner: sum over channels of gpatch * read
+            if featmap.requires_grad:
+                gplanes = np.empty_like(planes)
+                contrib = np.empty((4, b, n, p))
+            for ch, plane in enumerate(planes):
+                reads = np.take(plane, rec.idx)
+                a += gpatch[:, ch] * reads  # before _blend weights the reads in place
+                np.multiply(_blend(rec, reads), mw, out=patches[:, ch])
+                if featmap.requires_grad:
+                    # adjoint of the read: each pixel sums corner by corner, then
+                    # in sample order; off-map corners land in the dropped border
+                    np.multiply(rec.weight, gpatch[:, ch] * mw, out=contrib)
+                    gplanes[ch] = np.bincount(rec.idx.reshape(-1), contrib.reshape(-1),
+                                              minlength=planes.shape[1])
             if params.bias.requires_grad:
                 params.bias.add_grad(go.sum(axis=(0, 2)).reshape(1, -1, 1, 1))
             if params.weight.requires_grad:
-                gw = np.einsum("bon,bkn->ok", go, patches, optimize=True)
+                gw = np.einsum("bon,bkn->ok", go, patches.reshape(b, c * n, p), optimize=True)
                 params.weight.add_grad(gw.reshape(params.weight.shape))
-            del patches  # channel-sized: free it before the scatter
             a00, a01, a10, a11 = a
             if weights.requires_grad:
                 w00, w01, w10, w11 = rec.weight
                 gwt = w00 * a00 + w01 * a01 + w10 * a10 + w11 * a11
                 weights.add_grad(gwt.reshape(b, n, ho, wo))
             if offsets.requires_grad:
-                fx, fy, m = rec.fx, rec.fy, mw[:, 0]
-                gx = m * ((1 - fy) * (a01 - a00) + fy * (a11 - a10))
-                gy = m * ((1 - fx) * (a10 - a00) + fx * (a11 - a01))
+                fx, fy = rec.fx, rec.fy
+                gx = mw * ((1 - fy) * (a01 - a00) + fy * (a11 - a10))
+                gy = mw * ((1 - fx) * (a10 - a00) + fx * (a11 - a01))
                 offsets.ensure_grad()
                 offsets.grad[:, 0::2] += gx.reshape(b, n, ho, wo)
                 offsets.grad[:, 1::2] += gy.reshape(b, n, ho, wo)
             if featmap.requires_grad:
-                gpatch *= mw  # now the grad w.r.t. each sampled value
-                featmap.add_grad(_scatter(rec, gpatch, h, w))
+                gmap = gplanes.reshape(c, b, h + 3, w + 2)[:, :, 1:h + 1, 1:w + 1]
+                featmap.add_grad(gmap.transpose(1, 0, 2, 3))
         t.record(backward)
     return out
 
@@ -477,7 +474,8 @@ def topk(heatmap: Tensor, k: int, batch: int = 0) -> np.ndarray:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    _, c, h, w = heatmap.shape
+    b, c, h, w = heatmap.shape
+    check_index("batch", batch, b)
     flat = heatmap.data[batch].reshape(-1)
     order = np.argsort(-flat, kind="stable")[:k]
     ch, rest = np.divmod(order, h * w)

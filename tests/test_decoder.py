@@ -12,8 +12,8 @@ from ggnet.decoder import (
     DROP_REASONS,
     HoiTriplet,
     NoCandidateError,
+    _decode_boxes,
     assemble_triplets,
-    decode_box,
     format_triplet,
     load_triplets,
     match_point,
@@ -23,13 +23,21 @@ from ggnet.decoder import (
 )
 from ggnet.losses import HoiCategoryTable
 from ggnet.model import ForwardOutputs
-from ggnet.tensor import Tensor
+from ggnet.tensor import ShapeError, Tensor
 
 from oracles import assemble_triplets_ref, match_point_ref
 
 
 def _t(arr):
     return Tensor.from_array(np.asarray(arr, np.float32))
+
+
+def _decode_box(x, y, det_wh, det_reg, stride):
+    """Image 0's center pixel (x, y) through the decoder's ``_decode_boxes``:
+    the box as a tuple of floats, or None if degenerate."""
+    boxes, ok = _decode_boxes(np.array([x], np.float64), np.array([y], np.float64),
+                              det_wh.data[0], det_reg.data[0], stride)
+    return tuple(boxes[0].tolist()) if ok[0] else None
 
 
 # ===== candidate selection =====
@@ -128,7 +136,7 @@ def test_decode_box_frozen_case():
     wh = np.zeros((1, 2, 12, 12), np.float32)
     reg = np.zeros((1, 2, 12, 12), np.float32)
     wh[0, :, 8, 8] = [4.0, 6.0]
-    box = decode_box(8, 8, _t(wh), _t(reg), stride=4)
+    box = _decode_box(8, 8, _t(wh), _t(reg), stride=4)
     assert box == (24.0, 20.0, 40.0, 44.0)
 
 
@@ -137,20 +145,20 @@ def test_decode_box_applies_subpixel_offset():
     reg = np.zeros((1, 2, 8, 8), np.float32)
     wh[0, :, 3, 4] = [2.0, 2.0]
     reg[0, :, 3, 4] = [0.5, -0.25]
-    box = decode_box(4, 3, _t(wh), _t(reg), stride=4)
+    box = _decode_box(4, 3, _t(wh), _t(reg), stride=4)
     assert box == pytest.approx((14.0, 7.0, 22.0, 15.0))
 
 
 def test_decode_box_degenerate_and_clamped():
     wh = np.zeros((1, 2, 8, 8), np.float32)
     reg = np.zeros((1, 2, 8, 8), np.float32)
-    assert decode_box(2, 2, _t(wh), _t(reg), 4) is None
+    assert _decode_box(2, 2, _t(wh), _t(reg), 4) is None
     wh[0, :, 0, 0] = [50.0, 50.0]
-    box = decode_box(0, 0, _t(wh), _t(reg), 4)
+    box = _decode_box(0, 0, _t(wh), _t(reg), 4)
     assert box == (0.0, 0.0, 32.0, 32.0)  # clamped to the 8*4 image
     wh[0, :, 0, 7] = [2.0, 2.0]
     reg[0, 0, 0, 7] = 10.0  # pushes the whole box past the right edge
-    assert decode_box(7, 0, _t(wh), _t(reg), 4) is None
+    assert _decode_box(7, 0, _t(wh), _t(reg), 4) is None
 
 
 # ===== full assembly =====
@@ -238,8 +246,17 @@ def test_assemble_triplets_returns_python_floats():
         assert type(t.verb) is int and type(t.object_class) is int
     wh_map = np.zeros((1, 2, 8, 8), np.float32)
     wh_map[0, :, 0, 0] = [50.0, 50.0]
-    box = decode_box(0, 0, _t(wh_map), _t(np.zeros_like(wh_map)), 4)
+    box = _decode_box(0, 0, _t(wh_map), _t(np.zeros_like(wh_map)), 4)
     assert [type(v) for v in box] == [float] * 4
+
+
+def test_decoder_rejects_out_of_range_batch():
+    outs = _outputs(*_scene(), groups=2)
+    for bad in (-1, 1):
+        with pytest.raises(ShapeError, match=rf"batch index {bad} out of range \[0, 1\)"):
+            select_candidates(outs.interaction_map, batch=bad)
+        with pytest.raises(ShapeError, match=rf"batch index {bad} out of range \[0, 1\)"):
+            assemble_triplets(outs, stride=4, batch=bad)
 
 
 def test_assemble_triplets_counts_each_dropped_peak_once():

@@ -1,6 +1,7 @@
 """Kernel ops against the brute-force oracles, plus op-level contracts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -367,6 +368,57 @@ def test_deform_aggregate_validates_field_shapes():
         ops.deform_aggregate(bad_fm, off, wts, p)
 
 
+def test_deform_aggregate_frozen_inputs_keep_the_other_grads():
+    rng = np.random.default_rng(12)
+    fm, off, wts, p = _deform_case(rng, b=2, c=3, h=5, w=7, cout=2, k=3, pad=1)
+    proj = rng.uniform(-1, 1, (2, 2, 5, 7))
+    inputs = (fm, off, wts, p.weight, p.bias)
+
+    def grads():
+        for t in inputs:
+            t.zero_grad()
+        with tape() as tp:
+            tp.backward(ops.weighted_sum(ops.deform_aggregate(fm, off, wts, p), proj))
+        return [None if t.grad is None else t.grad.tobytes() for t in inputs]
+
+    want = grads()
+    assert None not in want
+    for i, frozen in enumerate(inputs):
+        frozen.requires_grad = False
+        got = grads()
+        frozen.requires_grad = True
+        assert got[i] is None
+        assert got[:i] + got[i + 1:] == want[:i] + want[i + 1:]  # byte for byte
+
+
+def test_deform_aggregate_memory_peak_is_a_few_patch_arrays():
+    """At train_full shapes the traced peak of one forward, and of its backward
+    above what the forward keeps, stays within a small multiple of the one
+    (B, C*n, P) float64 patch array: the sampler walks the feature planes a
+    channel at a time, so only the patches and their gradient carry a channel
+    axis."""
+    rng = np.random.default_rng(13)
+    b, c, hw, k = 8, 16, 16, 3
+    fm, off, wts, p = _deform_case(rng, b=b, c=c, h=hw, w=hw, cout=c, k=k, pad=1)
+    off.data *= 2.0
+    patch_bytes = b * c * k * k * hw * hw * 8
+    proj = rng.uniform(-1, 1, (b, c, hw, hw))
+    with tape() as tp:
+        tracemalloc.start()
+        try:
+            out = ops.deform_aggregate(fm, off, wts, p)
+            forward = tracemalloc.get_traced_memory()[1]
+            head = ops.weighted_sum(out, proj)
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]  # what the forward keeps
+            tp.backward(head)
+            backward = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+    assert forward <= 2.5 * patch_bytes, forward / patch_bytes
+    assert backward <= 5.0 * patch_bytes, backward / patch_bytes
+
+
 # ===== peak extraction =====
 
 def test_maxpool_nms_matches_oracle():
@@ -420,6 +472,20 @@ def test_maxpool_nms_matches_oracle_over_random_maps(x):
 def test_topk_matches_oracle_over_random_maps(x, k, batch):
     batch = min(batch, x.shape[0] - 1)
     assert ops.topk(Tensor.from_array(x), k, batch).tolist() == [list(r) for r in topk_ref(x[batch], k)]
+
+
+def test_sampler_and_topk_reject_out_of_range_indices():
+    fm = Tensor.from_array(np.arange(24, dtype=np.float32).reshape(2, 3, 2, 2))
+    for kwargs, name, bad, size in [
+            ({"channel": -1}, "channel", -1, 3), ({"channel": 3}, "channel", 3, 3),
+            ({"channel": 0, "batch": -1}, "batch", -1, 2),
+            ({"channel": 0, "batch": 2}, "batch", 2, 2)]:
+        with pytest.raises(ShapeError, match=rf"{name} index {bad} out of range \[0, {size}\)"):
+            ops.bilinear_sample(fm, 0.5, 0.5, **kwargs)
+    for bad in (-1, 2):
+        with pytest.raises(ShapeError, match=rf"batch index {bad} out of range \[0, 2\)"):
+            ops.topk(fm, 2, batch=bad)
+    assert ops.bilinear_sample(fm, 1.0, 1.0, channel=2, batch=1) == 23.0
 
 
 def test_topk_clips_k_and_rejects_nonpositive():
