@@ -49,7 +49,8 @@ def _parse_bool(raw: str) -> bool:
     raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
-def coerce_value(raw: str, target_type):
+def coerce_key(key: str, raw: str, target_type):
+    """Parse ``raw`` as a bool, int or float; errors name ``key``."""
     try:
         if target_type is bool:
             return _parse_bool(raw)
@@ -57,27 +58,13 @@ def coerce_value(raw: str, target_type):
             return int(raw)
         if target_type is float:
             return float(raw)
-        if target_type is str:
-            return raw
     except ValueError as exc:
-        raise ConfigError(f"bad value {raw!r}: {exc}") from None
-    raise ConfigError(f"unsupported config field type {target_type!r}")
-
-
-def coerce_key(key: str, raw: str, target_type):
-    """``coerce_value`` with the key named in its error."""
-    try:
-        return coerce_value(raw, target_type)
-    except ConfigError as exc:
-        raise ConfigError(f"key {key!r}: {exc}") from None
-
-
-def _hints(cls) -> dict:
-    return typing.get_type_hints(cls)
+        raise ConfigError(f"key {key!r}: bad value {raw!r}: {exc}") from None
+    raise ConfigError(f"key {key!r}: unsupported config field type {target_type!r}")
 
 
 def _coerce_all(cls, kv: dict[str, str]) -> dict:
-    hints = _hints(cls)
+    hints = typing.get_type_hints(cls)
     allowed = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(kv) - allowed)
     if unknown:

@@ -29,7 +29,8 @@ def iou(a: Box, b: Box) -> float:
     return inter / (area_a + area_b - inter)
 
 
-def _pr_area(tp_flags: list[bool], num_gt: int, interpolation: str) -> float:
+def _pr_area(tp_flags: list[bool], num_gt: int) -> float:
+    """All-point area under the precision envelope, as V-COCO and HICO-DET score."""
     precisions = []
     recalls = []
     tp = fp = 0
@@ -43,29 +44,16 @@ def _pr_area(tp_flags: list[bool], num_gt: int, interpolation: str) -> float:
     # monotone envelope from the right
     for i in range(len(precisions) - 2, -1, -1):
         precisions[i] = max(precisions[i], precisions[i + 1])
-    if interpolation == "all":
-        area = 0.0
-        prev_r = 0.0
-        for p, r in zip(precisions, recalls):
-            if r > prev_r:
-                area += (r - prev_r) * p
-                prev_r = r
-        return area
-    if interpolation == "11point":
-        total = 0.0
-        for i in range(11):
-            level = i / 10.0
-            best = 0.0
-            for p, r in zip(precisions, recalls):
-                if r >= level and p > best:
-                    best = p
-            total += best
-        return total / 11.0
-    raise ValueError(f"unknown interpolation {interpolation!r}")
+    area = 0.0
+    prev_r = 0.0
+    for p, r in zip(precisions, recalls):
+        if r > prev_r:
+            area += (r - prev_r) * p
+            prev_r = r
+    return area
 
 
-def average_precision(detections, gts, iou_thresh: float = 0.5,
-                      interpolation: str = "all") -> float | None:
+def average_precision(detections, gts, iou_thresh: float = 0.5) -> float | None:
     """AP for one category.
 
     detections: (image_id, score, human_box, object_box) tuples, any order;
@@ -104,7 +92,7 @@ def average_precision(detections, gts, iou_thresh: float = 0.5,
             tp_flags.append(True)
         else:
             tp_flags.append(False)
-    return _pr_area(tp_flags, len(gts), interpolation)
+    return _pr_area(tp_flags, len(gts))
 
 
 def _mean(values: list[float]) -> float | None:
@@ -147,8 +135,7 @@ class EvalResult:
 
 
 def evaluate(dets_per_image: dict, gts_per_image: dict, table: HoiCategoryTable,
-             mode: str = "dt", iou_thresh: float = 0.5,
-             interpolation: str = "all") -> EvalResult:
+             mode: str = "dt", iou_thresh: float = 0.5) -> EvalResult:
     """dets_per_image: image_id -> list of HoiTriplet; gts_per_image:
     image_id -> list of HoiAnnotation (include empty lists for images with no
     ground truth so DT mode knows the image universe)."""
@@ -183,7 +170,7 @@ def evaluate(dets_per_image: dict, gts_per_image: dict, table: HoiCategoryTable,
             dets = [d for d in dets if d[0] in scope]
         else:
             dets = [d for d in dets if d[0] in all_images]
-        result.per_category[cat] = average_precision(dets, gts, iou_thresh, interpolation)
+        result.per_category[cat] = average_precision(dets, gts, iou_thresh)
 
     defined = {cat: ap for cat, ap in result.per_category.items() if ap is not None}
     result.full_map = _mean(list(defined.values()))

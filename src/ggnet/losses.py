@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ops import combine_scalars, slice_channels
-from .tensor import ShapeError, Tensor, active_tape
+from .tensor import ShapeError, Tensor, on_tape
 
 
 class DataError(ValueError):
@@ -257,17 +257,13 @@ def hna_loss(pred: Tensor, mask: np.ndarray, num_points: int, alpha: float = 2.0
     denom = float(max(num_points, 1))
     out = Tensor.from_scalar(-terms.sum() / denom)
 
-    t = active_tape()
-    if t is not None:
-        def backward():
-            if out.grad is None or not pred.requires_grad:
-                return
-            g = float(out.grad.reshape(-1)[0])
-            d_pos = -alpha * (1.0 - p) ** (alpha - 1) * log_p + (1.0 - p) ** alpha / p
-            d_other = w_other * (alpha * p ** (alpha - 1) * log_np - p ** alpha / (1.0 - p))
-            d = np.where(pos, d_pos, d_other)
-            pred.add_grad((-g / denom) * d)
-        t.record(backward)
+    def backward(g):
+        g = float(g.reshape(-1)[0])
+        d_pos = -alpha * (1.0 - p) ** (alpha - 1) * log_p + (1.0 - p) ** alpha / p
+        d_other = w_other * (alpha * p ** (alpha - 1) * log_np - p ** alpha / (1.0 - p))
+        d = np.where(pos, d_pos, d_other)
+        pred.add_grad((-g / denom) * d)
+    on_tape(out, backward, pred)
     return out
 
 
@@ -327,15 +323,11 @@ def _sparse_l1(pred: Tensor, rows, targets) -> Tensor:
     diff = pred.data[at].astype(np.float64) - tgt
     out = Tensor.from_scalar(np.abs(diff).sum() / count)
 
-    t = active_tape()
-    if t is not None:
-        def backward():
-            if out.grad is None or not pred.requires_grad:
-                return
-            g = float(out.grad.reshape(-1)[0])
-            s = np.sign(diff) * (g / count)
-            np.add.at(pred.ensure_grad(), at, s.astype(np.float32))
-        t.record(backward)
+    def backward(g):
+        g = float(g.reshape(-1)[0])
+        s = np.sign(diff) * (g / count)
+        np.add.at(pred.ensure_grad(), at, s.astype(np.float32))
+    on_tape(out, backward, pred)
     return out
 
 

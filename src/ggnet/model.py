@@ -269,11 +269,10 @@ def gaze_step2(model: GGNet, gaze1_feat: Tensor, points_coarse: ActPointField,
     context = ops.deform_aggregate(gaze1_feat, points_coarse.offsets, points_coarse.weights,
                                    model.params["gaze2_context_agg"])
     raw = ops.conv2d(context, model.params["gaze2_points"])
-    residual = ops.slice_channels(raw, 0, 2 * taps)
-    weights = ops.slice_channels(raw, 2 * taps, 3 * taps)
-    offsets = ops.add(points_coarse.offsets, residual)
-    points = ActPointField(offsets, weights)
-    feat = ops.deform_aggregate(gaze1_feat, offsets, weights, model.params["gaze2_agg"])
+    residual = _split_points(raw, taps)
+    points = ActPointField(ops.add(points_coarse.offsets, residual.offsets), residual.weights)
+    feat = ops.deform_aggregate(gaze1_feat, points.offsets, points.weights,
+                                model.params["gaze2_agg"])
     heat = None
     if classify:
         heat = ops.sigmoid(ops.conv2d(feat, model.params["gaze2_cls"]))

@@ -2,9 +2,11 @@
 deformable aggregation, and the small glue ops the heads and losses need.
 
 Every op follows the same pattern: compute the forward value (reductions
-accumulate in float64, storage stays float32), and if a tape is active, record
-a closure that reads ``out.grad`` and accumulates into the inputs' ``grad``
-buffers. ``maxpool_nms`` and ``topk`` are inference-only and record nothing.
+accumulate in float64, storage stays float32), define ``backward(g)``, which
+accumulates the output gradient ``g`` into the inputs' ``grad`` buffers, and
+hand it to ``tensor.on_tape`` with those inputs; ``on_tape`` decides whether
+the step runs. ``maxpool_nms`` and ``topk`` are inference-only and record
+nothing.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .tensor import ConfigError, ShapeError, Tensor, active_tape
+from .tensor import ConfigError, ShapeError, Tensor, on_tape
 
 # Running tally of op invocations, used by the inference-graph audit.
 op_counts: dict[str, int] = {}
@@ -130,50 +132,33 @@ def conv2d(x: Tensor, params: ConvParams) -> Tensor:
     out64 = _contract(patches, params)
     out = Tensor.from_array(out64.reshape(b, params.out_channels, ho, wo).astype(np.float32))
 
-    t = active_tape()
-    if t is not None:
-        def backward():
-            if out.grad is None:
-                return
-            go = out.grad.reshape(b, params.out_channels, ho * wo).astype(np.float64)
-            if params.bias.requires_grad:
-                params.bias.add_grad(go.sum(axis=(0, 2)).reshape(1, -1, 1, 1))
-            if params.weight.requires_grad:
-                p64 = _im2col(x.data, k, stride, pad, ho, wo)
-                gw = np.einsum("bon,bkn->ok", go, p64, optimize=True)
-                params.weight.add_grad(gw.reshape(params.weight.shape))
-            if x.requires_grad:
-                wt = params.weight.data.reshape(params.out_channels, -1).astype(np.float64)
-                gcol = np.matmul(wt.T[None], go)
-                x.add_grad(_col2im(gcol, b, c, h, w, k, stride, pad, ho, wo))
-        t.record(backward)
+    def backward(g):
+        go = g.reshape(b, params.out_channels, ho * wo).astype(np.float64)
+        if params.bias.requires_grad:
+            params.bias.add_grad(go.sum(axis=(0, 2)).reshape(1, -1, 1, 1))
+        if params.weight.requires_grad:
+            p64 = _im2col(x.data, k, stride, pad, ho, wo)
+            gw = np.einsum("bon,bkn->ok", go, p64, optimize=True)
+            params.weight.add_grad(gw.reshape(params.weight.shape))
+        if x.requires_grad:
+            wt = params.weight.data.reshape(params.out_channels, -1).astype(np.float64)
+            gcol = np.matmul(wt.T[None], go)
+            x.add_grad(_col2im(gcol, b, c, h, w, k, stride, pad, ho, wo))
+    on_tape(out, backward, x, params.weight, params.bias)
     return out
 
 
 def relu(x: Tensor) -> Tensor:
     _count("relu")
     out = Tensor.from_array(np.maximum(x.data, 0))
-    t = active_tape()
-    if t is not None:
-        def backward():
-            if out.grad is None or not x.requires_grad:
-                return
-            x.add_grad(out.grad * (x.data > 0))
-        t.record(backward)
+    on_tape(out, lambda g: x.add_grad(g * (x.data > 0)), x)
     return out
 
 
 def sigmoid(x: Tensor) -> Tensor:
     _count("sigmoid")
     out = Tensor.from_array(1.0 / (1.0 + np.exp(-x.data.astype(np.float64))))
-    t = active_tape()
-    if t is not None:
-        def backward():
-            if out.grad is None or not x.requires_grad:
-                return
-            s = out.data
-            x.add_grad(out.grad * s * (1.0 - s))
-        t.record(backward)
+    on_tape(out, lambda g: x.add_grad(g * out.data * (1.0 - out.data)), x)
     return out
 
 
@@ -181,16 +166,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
     out = Tensor.from_array(a.data + b.data)
-    t = active_tape()
-    if t is not None:
-        def backward():
-            if out.grad is None:
-                return
-            if a.requires_grad:
-                a.add_grad(out.grad)
-            if b.requires_grad:
-                b.add_grad(out.grad)
-        t.record(backward)
+    def backward(g):
+        if a.requires_grad:
+            a.add_grad(g)
+        if b.requires_grad:
+            b.add_grad(g)
+    on_tape(out, backward, a, b)
     return out
 
 
@@ -198,14 +179,9 @@ def slice_channels(x: Tensor, lo: int, hi: int) -> Tensor:
     if not (0 <= lo < hi <= x.shape[1]):
         raise ShapeError(f"channel slice [{lo}:{hi}] out of range for {x.shape[1]} channels")
     out = Tensor.from_array(x.data[:, lo:hi].copy())
-    t = active_tape()
-    if t is not None:
-        def backward():
-            if out.grad is None or not x.requires_grad:
-                return
-            x.ensure_grad()
-            x.grad[:, lo:hi] += out.grad
-        t.record(backward)
+    def backward(g):
+        x.ensure_grad()[:, lo:hi] += g
+    on_tape(out, backward, x)
     return out
 
 
@@ -217,14 +193,10 @@ def group_mean_channels(x: Tensor, groups: int) -> Tensor:
     s = c // groups
     out64 = x.data.reshape(b, groups, s, h, w).astype(np.float64).mean(axis=1)
     out = Tensor.from_array(out64.astype(np.float32))
-    t = active_tape()
-    if t is not None:
-        def backward():
-            if out.grad is None or not x.requires_grad:
-                return
-            g = np.broadcast_to(out.grad[:, None] / groups, (b, groups, s, h, w))
-            x.add_grad(g.reshape(b, c, h, w))
-        t.record(backward)
+    def backward(g):
+        gx = np.broadcast_to(g[:, None] / groups, (b, groups, s, h, w))
+        x.add_grad(gx.reshape(b, c, h, w))
+    on_tape(out, backward, x)
     return out
 
 
@@ -237,14 +209,10 @@ def weighted_sum(x: Tensor, weights: np.ndarray | None = None) -> Tensor:
         w = np.asarray(weights, dtype=np.float64).reshape(x.shape)
         val = float((x.data.astype(np.float64) * w).sum())
     out = Tensor.from_scalar(val)
-    t = active_tape()
-    if t is not None:
-        def backward():
-            if out.grad is None or not x.requires_grad:
-                return
-            g = float(out.grad.reshape(-1)[0])
-            x.add_grad(np.full(x.shape, g, np.float64) if w is None else g * w)
-        t.record(backward)
+    def backward(g):
+        g = float(g.reshape(-1)[0])
+        x.add_grad(np.full(x.shape, g, np.float64) if w is None else g * w)
+    on_tape(out, backward, x)
     return out
 
 
@@ -256,16 +224,12 @@ def combine_scalars(terms: list[tuple[float, Tensor]]) -> Tensor:
             raise ShapeError("combine_scalars takes scalar tensors")
         total += float(coef) * term.scalar()
     out = Tensor.from_scalar(total)
-    t = active_tape()
-    if t is not None:
-        def backward():
-            if out.grad is None:
-                return
-            g = float(out.grad.reshape(-1)[0])
-            for coef, term in terms:
-                if term.requires_grad:
-                    term.add_grad(np.full((1, 1, 1, 1), coef * g, np.float64))
-        t.record(backward)
+    def backward(g):
+        g = float(g.reshape(-1)[0])
+        for coef, term in terms:
+            if term.requires_grad:
+                term.add_grad(np.full((1, 1, 1, 1), coef * g, np.float64))
+    on_tape(out, backward, *(term for _, term in terms))
     return out
 
 
@@ -401,50 +365,46 @@ def deform_aggregate(featmap: Tensor, offsets: Tensor, weights: Tensor,
     out64 = _contract(_interpolate(rec, planes, mw), params)
     out = Tensor.from_array(out64.reshape(b, params.out_channels, ho, wo).astype(np.float32))
 
-    t = active_tape()
-    if t is not None:
-        def backward():
-            if out.grad is None:
-                return
-            go = out.grad.reshape(b, params.out_channels, p).astype(np.float64)
-            wt = params.weight.data.reshape(params.out_channels, -1).astype(np.float64)
-            gpatch = np.matmul(wt.T[None], go).reshape(b, c, n, p)
-            patches = np.empty((b, c, n, p))
-            a = np.zeros((4, b, n, p))  # per corner: sum over channels of gpatch * read
+    def backward(g):
+        go = g.reshape(b, params.out_channels, p).astype(np.float64)
+        wt = params.weight.data.reshape(params.out_channels, -1).astype(np.float64)
+        gpatch = np.matmul(wt.T[None], go).reshape(b, c, n, p)
+        patches = np.empty((b, c, n, p))
+        a = np.zeros((4, b, n, p))  # per corner: sum over channels of gpatch * read
+        if featmap.requires_grad:
+            gplanes = np.empty_like(planes)
+            contrib = np.empty((4, b, n, p))
+        for ch, plane in enumerate(planes):
+            reads = np.take(plane, rec.idx)
+            a += gpatch[:, ch] * reads  # before _blend weights the reads in place
+            np.multiply(_blend(rec, reads), mw, out=patches[:, ch])
             if featmap.requires_grad:
-                gplanes = np.empty_like(planes)
-                contrib = np.empty((4, b, n, p))
-            for ch, plane in enumerate(planes):
-                reads = np.take(plane, rec.idx)
-                a += gpatch[:, ch] * reads  # before _blend weights the reads in place
-                np.multiply(_blend(rec, reads), mw, out=patches[:, ch])
-                if featmap.requires_grad:
-                    # adjoint of the read: each pixel sums corner by corner, then
-                    # in sample order; off-map corners land in the dropped border
-                    np.multiply(rec.weight, gpatch[:, ch] * mw, out=contrib)
-                    gplanes[ch] = np.bincount(rec.idx.reshape(-1), contrib.reshape(-1),
-                                              minlength=planes.shape[1])
-            if params.bias.requires_grad:
-                params.bias.add_grad(go.sum(axis=(0, 2)).reshape(1, -1, 1, 1))
-            if params.weight.requires_grad:
-                gw = np.einsum("bon,bkn->ok", go, patches.reshape(b, c * n, p), optimize=True)
-                params.weight.add_grad(gw.reshape(params.weight.shape))
-            a00, a01, a10, a11 = a
-            if weights.requires_grad:
-                w00, w01, w10, w11 = rec.weight
-                gwt = w00 * a00 + w01 * a01 + w10 * a10 + w11 * a11
-                weights.add_grad(gwt.reshape(b, n, ho, wo))
-            if offsets.requires_grad:
-                fx, fy = rec.fx, rec.fy
-                gx = mw * ((1 - fy) * (a01 - a00) + fy * (a11 - a10))
-                gy = mw * ((1 - fx) * (a10 - a00) + fx * (a11 - a01))
-                offsets.ensure_grad()
-                offsets.grad[:, 0::2] += gx.reshape(b, n, ho, wo)
-                offsets.grad[:, 1::2] += gy.reshape(b, n, ho, wo)
-            if featmap.requires_grad:
-                gmap = gplanes.reshape(c, b, h + 3, w + 2)[:, :, 1:h + 1, 1:w + 1]
-                featmap.add_grad(gmap.transpose(1, 0, 2, 3))
-        t.record(backward)
+                # adjoint of the read: each pixel sums corner by corner, then
+                # in sample order; off-map corners land in the dropped border
+                np.multiply(rec.weight, gpatch[:, ch] * mw, out=contrib)
+                gplanes[ch] = np.bincount(rec.idx.reshape(-1), contrib.reshape(-1),
+                                          minlength=planes.shape[1])
+        if params.bias.requires_grad:
+            params.bias.add_grad(go.sum(axis=(0, 2)).reshape(1, -1, 1, 1))
+        if params.weight.requires_grad:
+            gw = np.einsum("bon,bkn->ok", go, patches.reshape(b, c * n, p), optimize=True)
+            params.weight.add_grad(gw.reshape(params.weight.shape))
+        a00, a01, a10, a11 = a
+        if weights.requires_grad:
+            w00, w01, w10, w11 = rec.weight
+            gwt = w00 * a00 + w01 * a01 + w10 * a10 + w11 * a11
+            weights.add_grad(gwt.reshape(b, n, ho, wo))
+        if offsets.requires_grad:
+            fx, fy = rec.fx, rec.fy
+            gx = mw * ((1 - fy) * (a01 - a00) + fy * (a11 - a10))
+            gy = mw * ((1 - fx) * (a10 - a00) + fx * (a11 - a01))
+            offsets.ensure_grad()
+            offsets.grad[:, 0::2] += gx.reshape(b, n, ho, wo)
+            offsets.grad[:, 1::2] += gy.reshape(b, n, ho, wo)
+        if featmap.requires_grad:
+            gmap = gplanes.reshape(c, b, h + 3, w + 2)[:, :, 1:h + 1, 1:w + 1]
+            featmap.add_grad(gmap.transpose(1, 0, 2, 3))
+    on_tape(out, backward, featmap, offsets, weights, params.weight, params.bias)
     return out
 
 

@@ -1,9 +1,10 @@
 """Dense 4-D float32 tensors, the gradient tape, and GGT1 serialization.
 
 Everything downstream (kernels, heads, losses) works on these tensors. The
-tape holds one hand-written backward closure per executed op; calling
+tape holds one hand-written backward step per executed op; calling
 ``Tape.backward`` replays them in reverse, accumulating gradients into each
-tensor's ``grad`` buffer.
+tensor's ``grad`` buffer. An op records its step through ``on_tape``, which
+owns the rule for when that step runs.
 """
 
 from __future__ import annotations
@@ -122,9 +123,6 @@ class Tape:
     def record(self, step) -> None:
         self._steps.append(step)
 
-    def __len__(self):
-        return len(self._steps)
-
     def backward(self, head: Tensor) -> None:
         if head.size != 1:
             raise ShapeError("backward() starts from a scalar (1,1,1,1) tensor")
@@ -139,6 +137,21 @@ _ACTIVE: list[Tape] = []
 
 def active_tape() -> Tape | None:
     return _ACTIVE[-1] if _ACTIVE else None
+
+
+def on_tape(out: Tensor, backward, *inputs: Tensor) -> None:
+    """Record ``backward(out.grad)`` on the active tape, if there is one.
+
+    The step runs only when a gradient reached ``out`` and at least one of
+    ``inputs`` requires a gradient; both are read when the tape replays, not
+    when the op records.
+    """
+    t = active_tape()
+    if t is not None:
+        def step():
+            if out.grad is not None and any(x.requires_grad for x in inputs):
+                backward(out.grad)
+        t.record(step)
 
 
 @contextmanager

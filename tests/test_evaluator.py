@@ -46,15 +46,6 @@ def test_average_precision_frozen_five_sixths():
     assert average_precision(dets, gts) == pytest.approx(5 / 6, abs=1e-9)
 
 
-def test_average_precision_eleven_point_variant():
-    dets, gts = _tp_fp_tp_case()
-    # envelope precision is 1.0 up to recall 0.5, then 2/3
-    want = (6 * 1.0 + 5 * (2 / 3)) / 11
-    assert average_precision(dets, gts, interpolation="11point") == pytest.approx(want)
-    with pytest.raises(ValueError):
-        average_precision(dets, gts, interpolation="101point")
-
-
 def test_average_precision_keeps_arrival_order_among_equal_scores():
     # Not invariant to detection order: tied detections are ranked in the
     # order they arrive (stable sort), so a TP ahead of an equal-score FP

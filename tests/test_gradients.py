@@ -10,7 +10,7 @@ from ggnet.gradcheck import (
     finite_diff_check,
     standard_checks,
 )
-from ggnet.tensor import Tensor, active_tape, tape
+from ggnet.tensor import Tensor, on_tape, tape
 
 
 def test_every_op_passes_over_three_seeds():
@@ -51,12 +51,8 @@ def test_finite_diff_check_flags_wrong_backward():
     def overclaiming_sum():
         out = Tensor((1, 1, 1, 1), [float(x.data.sum())])
         out.exact = float(x.data.sum(dtype=np.float64))
-        t = active_tape()
-        if t is not None:
-            def backward():
-                # deliberately wrong: claims d(sum)/dx = 2 instead of 1
-                x.add_grad(np.full(x.shape, 2.0) * float(out.grad.reshape(-1)[0]))
-            t.record(backward)
+        # deliberately wrong: claims d(sum)/dx = 2 instead of 1
+        on_tape(out, lambda g: x.add_grad(np.full(x.shape, 2.0) * float(g.reshape(-1)[0])), x)
         return out
 
     report = finite_diff_check(overclaiming_sum, [("x", x)], name="broken")

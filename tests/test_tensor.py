@@ -14,6 +14,7 @@ from ggnet.tensor import (
     active_tape,
     load_checkpoint,
     load_ggt,
+    on_tape,
     read_tensor,
     save_checkpoint,
     save_ggt,
@@ -97,6 +98,34 @@ def test_backward_requires_scalar_head():
     tp = Tape()
     with pytest.raises(ShapeError):
         tp.backward(Tensor((1, 1, 1, 2)))
+
+
+def test_on_tape_runs_backward_only_when_a_gradient_can_flow():
+    calls = []
+
+    def backward_of(name):
+        return lambda g: calls.append((name, g))
+
+    x = Tensor((1, 1, 1, 1), [2.0])
+    on_tape(Tensor((1, 1, 1, 1), [1.0]), backward_of("no tape"), x)
+
+    head = Tensor((1, 1, 1, 1), [3.0])
+    unreached = Tensor((1, 1, 1, 1), [4.0])
+    frozen_later = Tensor((1, 1, 1, 1), [5.0])
+    thawed_later = Tensor((1, 1, 1, 1), [6.0], requires_grad=False)
+    with tape() as tp:
+        on_tape(head, backward_of("head"), x)
+        on_tape(unreached, backward_of("no grad reached"), x)
+        on_tape(head, backward_of("frozen"), frozen_later)
+        on_tape(head, backward_of("thawed"), thawed_later)
+        on_tape(head, backward_of("mixed"), thawed_later, x)
+    frozen_later.requires_grad = False
+    thawed_later.requires_grad = True
+    tp.backward(head)
+
+    assert [name for name, _ in calls] == ["mixed", "thawed", "head"]
+    assert all(g is head.grad for _, g in calls)
+    assert unreached.grad is None
 
 
 def test_tape_context_nesting():
