@@ -13,20 +13,22 @@ import typing
 from .tensor import ConfigError
 
 
-def parse_kv_text(text: str) -> dict[str, str]:
+def parse_kv_text(text: str, source: str = "config") -> dict[str, str]:
+    """Parse the text; a bad line is a ConfigError that begins
+    ``<source> line <n>: ``."""
     out: dict[str, str] = {}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"config line {ln}: expected 'key = value', got {raw.strip()!r}")
+            raise ConfigError(f"{source} line {ln}: expected 'key = value', got {raw.strip()!r}")
         key, value = line.split("=", 1)
         key, value = key.strip(), value.strip()
         if not key:
-            raise ConfigError(f"config line {ln}: empty key")
+            raise ConfigError(f"{source} line {ln}: empty key")
         if key in out:
-            raise ConfigError(f"config line {ln}: duplicate key {key!r}")
+            raise ConfigError(f"{source} line {ln}: duplicate key {key!r}")
         out[key] = value
     return out
 
@@ -37,7 +39,7 @@ def format_kv(kv: dict[str, str]) -> str:
 
 def read_kv_file(path) -> dict[str, str]:
     with open(path) as f:
-        return parse_kv_text(f.read())
+        return parse_kv_text(f.read(), str(path))
 
 
 def _parse_bool(raw: str) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import HoiCategoryTable
+from .losses import Box, HoiCategoryTable
 from .model import ForwardOutputs
 from .ops import check_index, maxpool_nms, topk
 from .tensor import Tensor
@@ -23,8 +23,6 @@ from .tensor import Tensor
 class NoCandidateError(ValueError):
     """Matching pool was empty; the triplet is dropped."""
 
-
-Box = tuple[float, float, float, float]
 
 # Running tally of interaction peaks that assemble_triplets drops, each under
 # the first reason that applies, in this order.
@@ -116,7 +114,7 @@ def _meaningful(table: HoiCategoryTable, verbs: int, objects: int) -> np.ndarray
 
 
 def assemble_triplets(outputs: ForwardOutputs, stride: int, k: int = 100,
-                      table: HoiCategoryTable | None = None, norm: str = "l1",
+                      table: HoiCategoryTable | None = None,
                       batch: int = 0) -> list[HoiTriplet]:
     """Full decode for one image of a forward_infer pass; at most k triplets,
     sorted by descending combined score (stable). Passing a category table
@@ -136,8 +134,8 @@ def assemble_triplets(outputs: ForwardOutputs, stride: int, k: int = 100,
     rows = 4 * grp[:, None] + np.arange(4)
     off = outputs.match_offsets.data[batch][rows, y.astype(np.intp)[:, None],
                                             x.astype(np.intp)[:, None]].astype(np.float64)
-    hum = humans[_nearest(x - off[:, 0], y - off[:, 1], humans, norm)]
-    obj = objects[_nearest(x - off[:, 2], y - off[:, 3], objects, norm)]
+    hum = humans[_nearest(x - off[:, 0], y - off[:, 1], humans, "l1")]
+    obj = objects[_nearest(x - off[:, 2], y - off[:, 3], objects, "l1")]
     wh, reg = outputs.det_wh.data[batch], outputs.det_reg.data[batch]
     human_box, human_ok = _decode_boxes(hum[:, 3], hum[:, 2], wh, reg, stride)
     object_box, object_ok = _decode_boxes(obj[:, 3], obj[:, 2], wh, reg, stride)

@@ -12,9 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .losses import HoiCategoryTable
-
-Box = tuple[float, float, float, float]
+from .losses import Box, HoiCategoryTable
 
 
 def iou(a: Box, b: Box) -> float:

@@ -62,7 +62,7 @@ def load_table(path) -> HoiCategoryTable:
     meaningful = set()
     rare = set()
     with open(path) as f:
-        for line in f:
+        for ln, line in enumerate(f, 1):
             parts = line.split()
             if not parts:
                 continue
@@ -78,8 +78,8 @@ def load_table(path) -> HoiCategoryTable:
                 else:
                     raise ValueError
             except ValueError:
-                raise DataError(f"malformed table line {line.strip()!r}: want 'verbs N', "
-                                "'objects N' or 'pair V O rare|common'") from None
+                raise DataError(f"{path} line {ln}: malformed table line {line.strip()!r}: "
+                                "want 'verbs N', 'objects N' or 'pair V O rare|common'") from None
     if len(header) != 2:
         raise DataError("table file missing verbs/objects header")
     return HoiCategoryTable(header["verbs"], header["objects"], frozenset(meaningful),
@@ -184,13 +184,13 @@ def splat_gaussian(mask: np.ndarray, center, radius: float, sign: int, channel: 
         mask[channel, y0:y1, x0:x1] = np.where(region > 0, region, np.minimum(region, -g))
 
 
-def _union_radius(a: HoiAnnotation, stride: int, min_overlap: float) -> float:
+def _union_radius(a: HoiAnnotation, stride: int) -> float:
     # Radius from the union extent of the pair's two boxes, on the feature map.
     x1 = min(a.human_box[0], a.object_box[0])
     y1 = min(a.human_box[1], a.object_box[1])
     x2 = max(a.human_box[2], a.object_box[2])
     y2 = max(a.human_box[3], a.object_box[3])
-    return gaussian_radius((x2 - x1) / stride, (y2 - y1) / stride, min_overlap)
+    return gaussian_radius((x2 - x1) / stride, (y2 - y1) / stride)
 
 
 def _splat_pixel(point, h, w) -> tuple[int, int]:
@@ -200,7 +200,7 @@ def _splat_pixel(point, h, w) -> tuple[int, int]:
 
 
 def build_mask(annotations, table: HoiCategoryTable, shape, stride: int,
-               min_overlap: float = 0.7, hard_negatives: bool = True) -> np.ndarray:
+               hard_negatives: bool = True) -> np.ndarray:
     """Signed supervision mask (V, H, W) for one image's interaction heatmap.
 
     With hard_negatives=False only the +1 Gaussians are stamped (plain focal
@@ -216,7 +216,7 @@ def build_mask(annotations, table: HoiCategoryTable, shape, stride: int,
         if (a.verb, a.object_class) not in table.meaningful:
             raise DataError(f"annotation pair ({a.verb},{a.object_class}) not meaningful")
         px, py = _splat_pixel(a.interaction_point(stride), h, w)
-        radius = _union_radius(a, stride, min_overlap)
+        radius = _union_radius(a, stride)
         placed.append((a, px, py, radius))
         positives.add((a.verb, px, py))
     for a, px, py, radius in placed:
@@ -234,13 +234,14 @@ def build_mask(annotations, table: HoiCategoryTable, shape, stride: int,
 
 # ===== Loss terms =====
 
-def hna_loss(pred: Tensor, mask: np.ndarray, num_points: int, alpha: float = 2.0,
-             beta: float = 7.0, gamma: float = 4.0) -> Tensor:
+def hna_loss(pred: Tensor, mask: np.ndarray, num_points: int, beta: float = 7.0) -> Tensor:
     """Focal loss over a signed mask; hard negatives (M < 0) weighted (1-M)^beta.
 
     Per pixel: M = 1 -> (1-P)^alpha log P; M < 0 -> (1-M)^beta P^alpha log(1-P);
     otherwise (1-M)^gamma P^alpha log(1-P). Negated sum / max(num_points, 1).
+    alpha = 2 and gamma = 4 are CenterNet's focal exponents and are fixed.
     """
+    alpha, gamma = 2.0, 4.0
     mask = np.asarray(mask, np.float64).reshape(pred.shape)
     p_raw = pred.data.astype(np.float64)
     if p_raw.min() < 0.0 or p_raw.max() > 1.0:
@@ -267,13 +268,12 @@ def hna_loss(pred: Tensor, mask: np.ndarray, num_points: int, alpha: float = 2.0
     return out
 
 
-def centernet_focal(pred: Tensor, target: np.ndarray, num_points: int,
-                    alpha: float = 2.0, gamma: float = 4.0) -> Tensor:
+def centernet_focal(pred: Tensor, target: np.ndarray, num_points: int) -> Tensor:
     """Penalty-reduced focal loss; same code path as hna_loss on a sign-free mask."""
     target = np.asarray(target, np.float64)
     if target.min() < 0.0:
         raise ValueError("focal target must be nonnegative")
-    return hna_loss(pred, target, num_points, alpha=alpha, beta=0.0, gamma=gamma)
+    return hna_loss(pred, target, num_points, beta=0.0)
 
 
 def matching_loss(offset_map: Tensor, annos_per_image, stride: int,
@@ -332,9 +332,9 @@ def _sparse_l1(pred: Tensor, rows, targets) -> Tensor:
 
 
 def detection_losses(det_center: Tensor, det_wh: Tensor, det_reg: Tensor,
-                     annos_per_image, table: HoiCategoryTable, stride: int,
-                     lambda_wh: float = 0.1, min_overlap: float = 0.7):
-    """Center focal + size/sub-pixel L1 losses against box ground truth.
+                     annos_per_image, table: HoiCategoryTable, stride: int):
+    """Center focal + size/sub-pixel L1 losses against box ground truth; the
+    size L1 is weighted 0.1, the other three terms 1.
 
     Returns (scalar loss, {"det_center_h", "det_center_o", "det_wh", "det_reg"}).
     """
@@ -368,7 +368,7 @@ def detection_losses(det_center: Tensor, det_wh: Tensor, det_reg: Tensor,
             px, py = _splat_pixel((cx, cy), h, w)
             bw = (box[2] - box[0]) / stride
             bh = (box[3] - box[1]) / stride
-            radius = gaussian_radius(bw, bh, min_overlap)
+            radius = gaussian_radius(bw, bh)
             splat_gaussian(heat[bi], (px, py), radius, +1, channel)
             rows.append((bi, 0, py, px))
             wh_targets.append((bw, bh))
@@ -378,7 +378,7 @@ def detection_losses(det_center: Tensor, det_wh: Tensor, det_reg: Tensor,
     loss_wh = _sparse_l1(det_wh, rows, wh_targets)
     loss_reg = _sparse_l1(det_reg, rows, reg_targets)
     total = combine_scalars([(1.0, loss_h), (1.0, loss_o),
-                             (lambda_wh, loss_wh), (1.0, loss_reg)])
+                             (0.1, loss_wh), (1.0, loss_reg)])
     parts = {"det_center_h": loss_h.item(), "det_center_o": loss_o.item(),
              "det_wh": loss_wh.item(), "det_reg": loss_reg.item()}
     return total, parts

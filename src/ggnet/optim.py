@@ -19,10 +19,10 @@ class AdamState:
         self.skipped = 0
 
 
-def adam_step(state: AdamState, named_tensors, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> bool:
+def adam_step(state: AdamState, named_tensors, lr: float) -> bool:
     """One update over all tensors. Any non-finite gradient skips the whole
     step (logged, counted) so a single bad batch cannot poison the moments."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
     grads = {}
     for name, t in named_tensors:
         g = t.grad if t.grad is not None else np.zeros(t.shape, np.float32)

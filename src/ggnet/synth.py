@@ -212,13 +212,14 @@ class SceneSample:
 
 def load_manifest(data_dir) -> dict[str, list[str]]:
     splits: dict[str, list[str]] = {}
-    with open(Path(data_dir) / "manifest.txt") as f:
-        for line in f:
+    path = Path(data_dir) / "manifest.txt"
+    with open(path) as f:
+        for ln, line in enumerate(f, 1):
             parts = line.split()
             if not parts:
                 continue
             if len(parts) != 2:
-                raise ConfigError(f"bad manifest line: {line.strip()!r}")
+                raise ConfigError(f"{path} line {ln}: bad manifest line: {line.strip()!r}")
             splits.setdefault(parts[0], []).append(parts[1])
     return splits
 

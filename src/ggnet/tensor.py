@@ -243,10 +243,10 @@ def load_checkpoint(path) -> tuple[str, dict[str, Tensor]]:
         raise ValueError(f"{manifest}: no header (a blank line ends it)")
     cut = lines.index("")
     entries = []
-    for line in lines[cut + 1:]:
+    for ln, line in enumerate(lines[cut + 1:], cut + 2):
         parts = line.split()
-        if len(parts) != 6:
-            raise ValueError(f"bad manifest line: {line!r}")
+        if len(parts) != 6 or not all(v.isdigit() for v in parts[1:]):
+            raise ValueError(f"{manifest} line {ln}: bad manifest line: {line!r}")
         name, rest = parts[0], [int(v) for v in parts[1:]]
         entries.append((name, tuple(rest[:4]), rest[4]))
     out: dict[str, Tensor] = {}

@@ -30,12 +30,7 @@ class TrainConfig:
     batch_size: int = 8
     epochs: int = 30
     decay_epoch: int = 22
-    decay_factor: float = 0.1
     lambda_aux: float = 0.1
-    lambda_wh: float = 0.1
-    focal_alpha: float = 2.0
-    focal_gamma: float = 4.0
-    hard_negative_beta: float = 7.0
     num_points: int = 25
     stride: int = 4
     channels: int = 16
@@ -56,8 +51,8 @@ class TrainConfig:
             raise ConfigError("epochs and batch_size must be positive")
         if not (0 <= cfg.decay_epoch < cfg.epochs):
             raise ConfigError(f"decay_epoch {cfg.decay_epoch} must lie before epochs {cfg.epochs}")
-        if cfg.learning_rate <= 0 or not (0 < cfg.decay_factor <= 1):
-            raise ConfigError("learning_rate must be positive, decay_factor in (0, 1]")
+        if cfg.learning_rate <= 0:
+            raise ConfigError("learning_rate must be positive")
         if not (0.0 <= cfg.val_fraction < 1.0):
             raise ConfigError("val_fraction must be in [0, 1)")
         if cfg.candidates < 1:
@@ -133,6 +128,7 @@ def train(config: TrainConfig, data_dir, out_dir, console=None) -> dict:
                         hard_negatives=cfg.use_hna) for s in train_samples]
 
     opt = AdamState(model.named_tensors())
+    head_loss = hna_loss if cfg.use_hna else centernet_focal
     order_rng = np.random.default_rng([cfg.seed, 13])
     history = []
     log_lines = []
@@ -141,7 +137,7 @@ def train(config: TrainConfig, data_dir, out_dir, console=None) -> dict:
     best_params = []
 
     for epoch in range(cfg.epochs):
-        lr = cfg.learning_rate * (cfg.decay_factor if epoch >= cfg.decay_epoch else 1.0)
+        lr = cfg.learning_rate * (0.1 if epoch >= cfg.decay_epoch else 1.0)
         order = order_rng.permutation(len(train_samples))
         sums: dict[str, float] = {}
         batches = 0
@@ -156,21 +152,12 @@ def train(config: TrainConfig, data_dir, out_dir, console=None) -> dict:
                 outp = forward_train(model, images)
                 heads = [h for h in (outp.glance_heatmap, outp.gaze1_heatmap,
                                      outp.gaze2_heatmap) if h is not None]
-                if cfg.use_hna:
-                    def head_loss(hm):
-                        return hna_loss(hm, batch_mask, num_points, alpha=cfg.focal_alpha,
-                                        beta=cfg.hard_negative_beta, gamma=cfg.focal_gamma)
-                else:
-                    def head_loss(hm):
-                        return centernet_focal(hm, batch_mask, num_points,
-                                               alpha=cfg.focal_alpha, gamma=cfg.focal_gamma)
-                main = head_loss(heads[-1])
-                aux = [head_loss(h) for h in heads[:-1]]
+                main = head_loss(heads[-1], batch_mask, num_points)
+                aux = [head_loss(h, batch_mask, num_points) for h in heads[:-1]]
                 match = matching_loss(outp.match_offsets, annos, stride=cfg.stride,
                                       groups=outp.match_groups)
                 det, det_parts = detection_losses(outp.det_center, outp.det_wh, outp.det_reg,
-                                                  annos, table, cfg.stride,
-                                                  lambda_wh=cfg.lambda_wh)
+                                                  annos, table, cfg.stride)
                 total = total_loss(main, aux, match, det, lambda_aux=cfg.lambda_aux)
                 t.backward(total)
             adam_step(opt, model.named_tensors(), lr)

@@ -1,6 +1,7 @@
 """Command-line chain: synth -> train -> infer -> eval -> visualize."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -8,9 +9,11 @@ import pytest
 
 from ggnet import cli
 from ggnet.cli import main
+from ggnet.losses import DataError, load_table
 from ggnet.model import GGNet, ModelConfig
-from ggnet.synth import SceneSpec, make_dataset
-from ggnet.tensor import MAGIC, Tensor, load_ggt, save_ggt
+from ggnet.synth import SceneSpec, load_manifest, make_dataset
+from ggnet.tensor import MAGIC, ConfigError, Tensor, load_checkpoint, load_ggt, save_ggt
+from ggnet.train import load_train_config
 from ggnet.viz import tensor_to_rgb8, write_ppm
 
 
@@ -124,13 +127,31 @@ def test_cli_eval_malformed_table_line_exits_two(tmp_path, capsys, line):
     data = tmp_path / "data"
     make_dataset(SceneSpec(seed=1, image_size=48), data, n_train=2, n_test=2)
     table = data / "table.txt"
-    table.write_text(table.read_text() + line + "\n")
+    text = table.read_text() + line + "\n"
+    table.write_text(text)
     dets = tmp_path / "dets.txt"
     dets.write_text("")
     assert main(["eval", "--dets", str(dets), "--gt", str(data)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: malformed table line {line!r}")
+    n = text.count("\n")
+    assert captured.err.startswith(f"error: {table} line {n}: malformed table line {line!r}")
+
+
+@pytest.mark.parametrize("name, text, bad_line, error, read", [
+    ("train.txt", "epochs = 5\nbogus line\n", 2, ConfigError, load_train_config),
+    ("table.txt", "verbs 2\npair 0 0\n", 2, DataError, load_table),
+    ("manifest.txt", "train a\ntrain a b\n", 2, ConfigError, lambda p: load_manifest(p.parent)),
+    ("m.ckpt.manifest", "k = 1\n\nw 1 1 1 1 0\nw 1 1 1\n", 4, ValueError,
+     lambda p: load_checkpoint(p.with_suffix(""))),
+    ("m.ckpt.manifest", "k = 1\n\nw 1 1 1 1 x\n", 3, ValueError,
+     lambda p: load_checkpoint(p.with_suffix(""))),
+], ids=["config", "table", "data_manifest", "checkpoint_manifest", "checkpoint_offset"])
+def test_text_file_errors_name_the_file_and_line(tmp_path, name, text, bad_line, error, read):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(error, match=re.escape(f"{path} line {bad_line}: ")):
+        read(path)
 
 
 def test_cli_visualize_corrupt_image_exits_two(tmp_path, capsys):

@@ -90,6 +90,15 @@ def test_load_train_config_from_file(tmp_path):
     assert (cfg.epochs, cfg.decay_epoch, cfg.use_gaze2) == (5, 3, False)
 
 
+@pytest.mark.parametrize("key", ["decay_factor", "lambda_wh", "focal_alpha", "focal_gamma",
+                                 "hard_negative_beta"])
+def test_load_train_config_rejects_fixed_loss_and_schedule_keys(tmp_path, key):
+    path = tmp_path / "train.txt"
+    path.write_text(f"{key} = 0.1\n")
+    with pytest.raises(ConfigError, match=f"unknown config keys: {key}$"):
+        load_train_config(path)
+
+
 # ===== optimizer =====
 
 def _named(shapes, seed):
