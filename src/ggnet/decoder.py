@@ -130,7 +130,7 @@ def assemble_triplets(outputs: ForwardOutputs, stride: int, k: int = 100,
         return []
     ip_score, verb, y, x = interactions.T
     verb = verb.astype(np.intp)
-    grp = verb if outputs.match_groups > 1 else np.zeros_like(verb)
+    grp = verb if outputs.match_offsets.shape[1] > 4 else np.zeros_like(verb)
     rows = 4 * grp[:, None] + np.arange(4)
     off = outputs.match_offsets.data[batch][rows, y.astype(np.intp)[:, None],
                                             x.astype(np.intp)[:, None]].astype(np.float64)

@@ -1,10 +1,12 @@
 """Role-mAP evaluation of <human, verb, object> triplets.
 
-A detection is a true positive only when BOTH its boxes reach the IoU
-threshold against one still-unmatched ground truth of the same category,
-matched greedily in score order. Categories with no ground truth are excluded
-from the mean. DT mode scores every image; KO mode scores each category only
-on images whose ground truth contains that category's object class.
+A detection is a true positive only when BOTH its boxes reach IoU 0.5
+against one still-unmatched ground truth of the same category, matched
+greedily in score order (the V-COCO and HICO-DET rule). Categories with no
+ground truth are excluded from the mean. DT mode counts every detection,
+whether or not its image has a ground-truth entry; KO mode scores each
+category only on images whose ground truth contains that category's object
+class.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ def _pr_area(tp_flags: list[bool], num_gt: int) -> float:
     return area
 
 
-def average_precision(detections, gts, iou_thresh: float = 0.5) -> float | None:
-    """AP for one category.
+def average_precision(detections, gts) -> float | None:
+    """AP for one category; a true positive needs IoU >= 0.5 on both boxes.
 
     detections: (image_id, score, human_box, object_box) tuples, any order;
     gts: (image_id, human_box, object_box) tuples. Returns None when there is
@@ -78,12 +80,8 @@ def average_precision(detections, gts, iou_thresh: float = 0.5) -> float | None:
             if matched[gi]:
                 continue
             _, gt_h, gt_o = gts[gi]
-            iou_h = iou(human_box, gt_h)
-            iou_o = iou(object_box, gt_o)
-            if iou_h < iou_thresh or iou_o < iou_thresh:
-                continue
-            quality = min(iou_h, iou_o)
-            if quality > best_quality:
+            quality = min(iou(human_box, gt_h), iou(object_box, gt_o))
+            if quality >= 0.5 and quality > best_quality:
                 best_quality, best_gi = quality, gi
         if best_gi >= 0:
             matched[best_gi] = True
@@ -133,14 +131,13 @@ class EvalResult:
 
 
 def evaluate(dets_per_image: dict, gts_per_image: dict, table: HoiCategoryTable,
-             mode: str = "dt", iou_thresh: float = 0.5) -> EvalResult:
+             mode: str = "dt") -> EvalResult:
     """dets_per_image: image_id -> list of HoiTriplet; gts_per_image:
-    image_id -> list of HoiAnnotation (include empty lists for images with no
-    ground truth so DT mode knows the image universe)."""
+    image_id -> list of HoiAnnotation. In DT mode a detection on an image
+    missing from gts_per_image is a false positive; KO mode drops it."""
     mode = mode.lower()
     if mode not in ("dt", "ko"):
         raise ValueError(f"mode must be 'dt' or 'ko', got {mode!r}")
-    all_images = set(gts_per_image) | set(dets_per_image)
     dropped = 0
     dets_by_cat: dict[tuple[int, int], list] = {}
     for image_id, dets in dets_per_image.items():
@@ -166,9 +163,7 @@ def evaluate(dets_per_image: dict, gts_per_image: dict, table: HoiCategoryTable,
         if mode == "ko":
             scope = images_with_class.get(cat[1], set())
             dets = [d for d in dets if d[0] in scope]
-        else:
-            dets = [d for d in dets if d[0] in all_images]
-        result.per_category[cat] = average_precision(dets, gts, iou_thresh)
+        result.per_category[cat] = average_precision(dets, gts)
 
     defined = {cat: ap for cat, ap in result.per_category.items() if ap is not None}
     result.full_map = _mean(list(defined.values()))

@@ -81,7 +81,7 @@ def load_table(path) -> HoiCategoryTable:
                 raise DataError(f"{path} line {ln}: malformed table line {line.strip()!r}: "
                                 "want 'verbs N', 'objects N' or 'pair V O rare|common'") from None
     if len(header) != 2:
-        raise DataError("table file missing verbs/objects header")
+        raise DataError(f"{path}: table file missing verbs/objects header")
     return HoiCategoryTable(header["verbs"], header["objects"], frozenset(meaningful),
                             frozenset(rare))
 
@@ -126,13 +126,17 @@ def parse_annotation_line(line: str) -> tuple[str, HoiAnnotation]:
 
 
 def parse_annotations(lines) -> dict:
-    """Group annotation lines by image id, preserving order."""
+    """Group annotation lines by image id, preserving order; a bad line is a
+    DataError that begins ``line <n>: ``."""
     out: dict[str, list[HoiAnnotation]] = {}
-    for line in lines:
+    for ln, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
-        image_id, a = parse_annotation_line(line)
+        try:
+            image_id, a = parse_annotation_line(line)
+        except DataError as exc:
+            raise DataError(f"line {ln}: {exc}") from None
         out.setdefault(image_id, []).append(a)
     return out
 
@@ -276,21 +280,20 @@ def centernet_focal(pred: Tensor, target: np.ndarray, num_points: int) -> Tensor
     return hna_loss(pred, target, num_points, beta=0.0)
 
 
-def matching_loss(offset_map: Tensor, annos_per_image, stride: int,
-                  groups: int | None = None) -> Tensor:
+def matching_loss(offset_map: Tensor, annos_per_image, stride: int) -> Tensor:
     """L1 between predicted and true point->center offsets at interaction points.
 
-    offset_map is (B, 4*groups, H, W); each annotation is scored on its verb's
-    4-channel group (group 0 when the map is shared across verbs). Targets are
-    (pixel - human center, pixel - object center) in feature-map units,
-    measured from the integer pixel the point splats to. Sum of human and object
-    parts, normalized by annotation count.
+    offset_map is (B, 4*groups, H, W) with one group per verb or one shared
+    by all verbs; the group count is read off the channels. Each annotation
+    is scored on its verb's 4-channel group (group 0 when there is one).
+    Targets are (pixel - human center, pixel - object center) in feature-map
+    units, measured from the integer pixel the point splats to. Sum of human
+    and object parts, normalized by annotation count.
     """
     b, c, h, w = offset_map.shape
-    if groups is None:
-        groups = c // 4
-    if c != 4 * groups:
-        raise ShapeError(f"offset map has {c} channels, expected 4*{groups}")
+    if c % 4:
+        raise ShapeError(f"offset map has {c} channels, not a multiple of 4")
+    groups = c // 4
     rows = []
     targets = []
     for bi, annos in enumerate(annos_per_image):
@@ -384,16 +387,10 @@ def detection_losses(det_center: Tensor, det_wh: Tensor, det_reg: Tensor,
     return total, parts
 
 
-def total_loss(interaction: Tensor, aux_interactions=(), matching: Tensor | None = None,
-               detection: Tensor | None = None, lambda_aux: float = 0.1) -> Tensor:
-    """Full objective: deepest interaction head at weight 1, shallower heads and
-    the matching term at lambda_aux, detection at weight 1."""
-    terms = [(1.0, interaction)]
-    for aux in aux_interactions:
-        if aux is not None:
-            terms.append((lambda_aux, aux))
-    if matching is not None:
-        terms.append((lambda_aux, matching))
-    if detection is not None:
-        terms.append((1.0, detection))
-    return combine_scalars(terms)
+def total_loss(interaction: Tensor, aux_interactions, matching: Tensor, detection: Tensor,
+               lambda_aux: float = 0.1) -> Tensor:
+    """Full objective: the deepest interaction head and detection at weight 1;
+    each shallower head in ``aux_interactions`` (possibly none) and the
+    matching term at lambda_aux."""
+    terms = [(1.0, interaction)] + [(lambda_aux, aux) for aux in aux_interactions]
+    return combine_scalars(terms + [(lambda_aux, matching), (1.0, detection)])

@@ -103,7 +103,6 @@ class ForwardOutputs:
     gaze2_feat: Tensor | None
     gaze2_heatmap: Tensor | None
     match_offsets: Tensor
-    match_groups: int
     det_center: Tensor
     det_wh: Tensor
     det_reg: Tensor
@@ -257,8 +256,7 @@ def gaze_step1(model: GGNet, glance_feat: Tensor, classify: bool = True):
     return points, feat, heat
 
 
-def gaze_step2(model: GGNet, gaze1_feat: Tensor, points_coarse: ActPointField,
-               classify: bool = True):
+def gaze_step2(model: GGNet, gaze1_feat: Tensor, points_coarse: ActPointField):
     """Residual refinement of the coarse points + second aggregation.
 
     Shares no parameters with the first gaze step. The residual conv reads a
@@ -273,25 +271,23 @@ def gaze_step2(model: GGNet, gaze1_feat: Tensor, points_coarse: ActPointField,
     points = ActPointField(ops.add(points_coarse.offsets, residual.offsets), residual.weights)
     feat = ops.deform_aggregate(gaze1_feat, points.offsets, points.weights,
                                 model.params["gaze2_agg"])
-    heat = None
-    if classify:
-        heat = ops.sigmoid(ops.conv2d(feat, model.params["gaze2_cls"]))
+    heat = ops.sigmoid(ops.conv2d(feat, model.params["gaze2_cls"]))
     return points, context, feat, heat
 
 
-def apm_head(model: GGNet, glance_feat: Tensor) -> tuple[Tensor, int]:
+def apm_head(model: GGNet, glance_feat: Tensor) -> Tensor:
     """Point->center offset regressors: 4 channels per verb in layout
     (human dx, human dy, object dx, object dy), measured interaction point
     minus entity center, in feature-map pixels.
 
     With use_apm off the per-verb regressors are averaged into one shared
-    4-channel group; returns (offset map, group count).
+    4-channel group. The group count is the map's channels // 4.
     """
     x = _conv_block(model, glance_feat, "apm_trunk")
     offsets = ops.conv2d(x, model.params["apm_out"])
     if model.config.use_apm:
-        return offsets, model.config.num_verbs
-    return ops.group_mean_channels(offsets, model.config.num_verbs), 1
+        return offsets
+    return ops.group_mean_channels(offsets, model.config.num_verbs)
 
 
 def detection_head(model: GGNet, backbone_feat: Tensor):
@@ -309,22 +305,16 @@ def detection_head(model: GGNet, backbone_feat: Tensor):
 def _forward(model: GGNet, images: Tensor, train_mode: bool) -> ForwardOutputs:
     cfg = model.config
     backbone_feat = toy_backbone(model, images)
-    if cfg.use_gaze2:
-        deepest = "gaze2"
-    elif cfg.use_gaze1:
-        deepest = "gaze1"
-    else:
-        deepest = "glance"
     glance_feat, glance_heat = glance_step(model, backbone_feat,
-                                           classify=train_mode or deepest == "glance")
+                                           classify=train_mode or not cfg.use_gaze1)
     points1 = gaze1_feat = gaze1_heat = None
     points2 = context = gaze2_feat = gaze2_heat = None
     if cfg.use_gaze1:
         points1, gaze1_feat, gaze1_heat = gaze_step1(
-            model, glance_feat, classify=train_mode or deepest == "gaze1")
+            model, glance_feat, classify=train_mode or not cfg.use_gaze2)
     if cfg.use_gaze2:
         points2, context, gaze2_feat, gaze2_heat = gaze_step2(model, gaze1_feat, points1)
-    match_offsets, match_groups = apm_head(model, glance_feat)
+    match_offsets = apm_head(model, glance_feat)
     det_center, det_wh, det_reg = detection_head(model, backbone_feat)
     return ForwardOutputs(
         backbone_feat=backbone_feat,
@@ -338,7 +328,6 @@ def _forward(model: GGNet, images: Tensor, train_mode: bool) -> ForwardOutputs:
         gaze2_feat=gaze2_feat,
         gaze2_heatmap=gaze2_heat,
         match_offsets=match_offsets,
-        match_groups=match_groups,
         det_center=det_center,
         det_wh=det_wh,
         det_reg=det_reg,

@@ -39,8 +39,9 @@ def check_index(name: str, index: int, size: int) -> None:
 class ConvParams:
     """Square-kernel convolution parameters.
 
-    ``weight`` is (out_ch, in_ch, k, k); ``bias`` is stored as a (1, out_ch, 1, 1)
-    tensor so it rides the same gradient/checkpoint machinery as weights.
+    ``weight`` is (out_ch, in_ch, k, k); ``bias`` takes out_ch values and is
+    stored as a (1, out_ch, 1, 1) tensor so it rides the same
+    gradient/checkpoint machinery as weights.
     """
 
     __slots__ = ("weight", "bias", "stride", "padding")
@@ -50,15 +51,10 @@ class ConvParams:
             raise ConfigError(f"kernels must be square, got {weight.shape[2]}x{weight.shape[3]}")
         self.weight = weight
         out_ch = weight.shape[0]
-        if isinstance(bias, Tensor):
-            if bias.shape != (1, out_ch, 1, 1):
-                raise ShapeError(f"bias shape {bias.shape} != (1, {out_ch}, 1, 1)")
-            self.bias = bias
-        else:
-            arr = np.asarray(bias, dtype=np.float32).reshape(-1)
-            if arr.size != out_ch:
-                raise ShapeError(f"bias needs {out_ch} values, got {arr.size}")
-            self.bias = Tensor((1, out_ch, 1, 1), arr)
+        arr = np.asarray(bias, dtype=np.float32).reshape(-1)
+        if arr.size != out_ch:
+            raise ShapeError(f"bias needs {out_ch} values, got {arr.size}")
+        self.bias = Tensor((1, out_ch, 1, 1), arr)
         if stride < 1:
             raise ConfigError(f"stride must be positive, got {stride}")
         if padding < 0:
@@ -311,7 +307,7 @@ def bilinear_sample(featmap: Tensor, x: float, y: float, channel: int, batch: in
     return float(_interpolate(rec, planes, 1.0)[0, 0, 0])
 
 
-def _tap_grid(k: int, stride: int, padding: int, ho: int, wo: int):
+def tap_grid(k: int, stride: int, padding: int, ho: int, wo: int):
     """Regular sampling positions: (n, ho, wo) x and y, tap-major row order."""
     tx = np.tile(np.arange(k, dtype=np.float64), k)
     ty = np.repeat(np.arange(k, dtype=np.float64), k)
@@ -356,7 +352,7 @@ def deform_aggregate(featmap: Tensor, offsets: Tensor, weights: Tensor,
             f"offset/weight fields {offsets.shape} / {weights.shape} do not match "
             f"(batch {b}, taps {n}, out {ho}x{wo})")
     p = ho * wo
-    gx, gy = _tap_grid(k, stride, pad, ho, wo)
+    gx, gy = tap_grid(k, stride, pad, ho, wo)
     xs = (gx[None] + offsets.data[:, 0::2].astype(np.float64)).reshape(b, n, p)
     ys = (gy[None] + offsets.data[:, 1::2].astype(np.float64)).reshape(b, n, p)
     rec = _sampling(xs, ys, h, w)

@@ -243,7 +243,7 @@ def load_split(data_dir, split: str, with_images: bool = True) -> list[SceneSamp
         try:
             annos = parse_annotations(f)
         except DataError as exc:
-            raise DataError(f"{anno_path}: {exc}") from None
+            raise DataError(f"{anno_path} {exc}") from None
     stray = sorted(annos.keys() - set(ids))
     if stray:
         raise DataError(f"{anno_path}: image id {stray[0]!r} is not in split {split!r}")

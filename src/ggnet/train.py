@@ -92,10 +92,11 @@ def run_inference(model: GGNet, samples: list[SceneSample], k: int = 100,
 
 
 def evaluate_model(model: GGNet, samples: list[SceneSample], table: HoiCategoryTable,
-                   mode: str = "dt", k: int = 100, batch_size: int = 8):
+                   k: int = 100, batch_size: int = 8):
+    """DT-mode role mAP of the model's decoded triplets on ``samples``."""
     dets = run_inference(model, samples, k=k, table=table, batch_size=batch_size)
     gts = {s.image_id: s.annotations for s in samples}
-    return evaluate(dets, gts, table, mode=mode)
+    return evaluate(dets, gts, table, mode="dt")
 
 
 def train(config: TrainConfig, data_dir, out_dir, console=None) -> dict:
@@ -154,8 +155,7 @@ def train(config: TrainConfig, data_dir, out_dir, console=None) -> dict:
                                      outp.gaze2_heatmap) if h is not None]
                 main = head_loss(heads[-1], batch_mask, num_points)
                 aux = [head_loss(h, batch_mask, num_points) for h in heads[:-1]]
-                match = matching_loss(outp.match_offsets, annos, stride=cfg.stride,
-                                      groups=outp.match_groups)
+                match = matching_loss(outp.match_offsets, annos, stride=cfg.stride)
                 det, det_parts = detection_losses(outp.det_center, outp.det_wh, outp.det_reg,
                                                   annos, table, cfg.stride)
                 total = total_loss(main, aux, match, det, lambda_aux=cfg.lambda_aux)

@@ -10,11 +10,13 @@ import numpy as np
 
 from .decoder import assemble_triplets, select_candidates
 from .model import GGNet, forward_infer
+from .ops import tap_grid
 from .tensor import Tensor
 
 
-def tensor_to_rgb8(image: Tensor, batch: int = 0) -> np.ndarray:
-    chw = np.clip(image.data[batch], 0.0, 1.0)
+def tensor_to_rgb8(image: Tensor) -> np.ndarray:
+    """The batch's first image as (h, w, 3) uint8, clipped to [0, 1] first."""
+    chw = np.clip(image.data[0], 0.0, 1.0)
     return (chw.transpose(1, 2, 0) * 255.0).round().astype(np.uint8)
 
 
@@ -33,8 +35,8 @@ def _put(rgb: np.ndarray, x: int, y: int, color) -> None:
         rgb[y, x] = color
 
 
-def _cross(rgb: np.ndarray, x: int, y: int, color, arm: int = 2) -> None:
-    for d in range(-arm, arm + 1):
+def _cross(rgb: np.ndarray, x: int, y: int, color) -> None:
+    for d in range(-2, 3):
         _put(rgb, x + d, y, color)
         _put(rgb, x, y + d, color)
 
@@ -49,19 +51,18 @@ def _rect(rgb: np.ndarray, box, color) -> None:
         _put(rgb, max(x1, x2 - 1), y, color)
 
 
-def _tap_positions(field, px: int, py: int, batch: int = 0) -> list[tuple[float, float, float]]:
-    """(x, y, weight) per tap at one feature pixel, feature-map coords."""
-    taps = field.taps
-    side = math.isqrt(taps)
-    offs = field.offsets.data[batch, :, py, px]
-    ws = field.weights.data[batch, :, py, px]
-    out = []
-    for t in range(taps):
-        ky, kx = divmod(t, side)
-        out.append((px + (kx - side // 2) + float(offs[2 * t]),
-                    py + (ky - side // 2) + float(offs[2 * t + 1]),
-                    float(ws[t])))
-    return out
+def _tap_positions(field, px: int, py: int) -> list[tuple[float, float, float]]:
+    """(x, y, weight) per tap at one feature pixel of the first image, in
+    feature-map coords: the regular tap grid of the field's same-size
+    aggregation plus the tap's offset."""
+    side = math.isqrt(field.taps)
+    _, _, h, w = field.weights.shape
+    gx, gy = tap_grid(side, 1, side // 2, h, w)
+    offs = field.offsets.data[0, :, py, px]
+    xs = gx[:, py, px] + offs[0::2]
+    ys = gy[:, py, px] + offs[1::2]
+    ws = field.weights.data[0, :, py, px]
+    return [(float(x), float(y), float(wt)) for x, y, wt in zip(xs, ys, ws)]
 
 
 def _draw_points(rgb: np.ndarray, points, stride: int, hue) -> None:
@@ -80,7 +81,7 @@ def _draw_points(rgb: np.ndarray, points, stride: int, hue) -> None:
         _put(rgb, px, py + 1, color)
 
 
-def visualize(model: GGNet, image: Tensor, out_path, k: int = 100) -> dict:
+def visualize(model: GGNet, image: Tensor, out_path) -> dict:
     """Render overlays for the highest-scoring interaction; returns a summary
     with the point/box geometry that was drawn."""
     outputs = forward_infer(model, image)
@@ -97,7 +98,7 @@ def visualize(model: GGNet, image: Tensor, out_path, k: int = 100) -> dict:
             summary["points_step1"] = _tap_positions(outputs.points_coarse, x, y)
         if outputs.points_final is not None:
             summary["points_final"] = _tap_positions(outputs.points_final, x, y)
-        triplets = assemble_triplets(outputs, stride, k=k)
+        triplets = assemble_triplets(outputs, stride)
         if triplets:
             top = triplets[0]
             summary["human_box"] = top.human_box

@@ -321,7 +321,7 @@ def assemble_triplets_ref(outputs, stride, k=100, meaningful=None, norm="l1", ba
     for score, verb, y, x in interactions:
         if not humans or not objects:
             continue
-        grp = verb if outputs.match_groups > 1 else 0
+        grp = verb if offsets.shape[0] > 4 else 0
         off = [float(v) for v in offsets[4 * grp:4 * grp + 4, y, x]]
         h_score, _, hy, hx = humans[match_point_ref((x, y), off[0:2], humans, norm)]
         o_score, o_class, oy, ox = objects[match_point_ref((x, y), off[2:4], objects, norm)]

@@ -10,11 +10,11 @@ import pytest
 from ggnet import cli
 from ggnet.cli import main
 from ggnet.losses import DataError, load_table
-from ggnet.model import GGNet, ModelConfig
-from ggnet.synth import SceneSpec, load_manifest, make_dataset
+from ggnet.model import ActPointField, GGNet, ModelConfig
+from ggnet.synth import SceneSpec, load_manifest, load_split, make_dataset
 from ggnet.tensor import MAGIC, ConfigError, Tensor, load_checkpoint, load_ggt, save_ggt
 from ggnet.train import load_train_config
-from ggnet.viz import tensor_to_rgb8, write_ppm
+from ggnet.viz import _tap_positions, tensor_to_rgb8, write_ppm
 
 
 def read_ppm_size(path) -> tuple[int, int]:
@@ -138,6 +138,13 @@ def test_cli_eval_malformed_table_line_exits_two(tmp_path, capsys, line):
     assert captured.err.startswith(f"error: {table} line {n}: malformed table line {line!r}")
 
 
+def _load_annotations(path):
+    """Read the split annotation file at ``path`` through load_split."""
+    root = path.parent.parent
+    (root / "manifest.txt").write_text("test a\n")
+    return load_split(root, "test", with_images=False)
+
+
 @pytest.mark.parametrize("name, text, bad_line, error, read", [
     ("train.txt", "epochs = 5\nbogus line\n", 2, ConfigError, load_train_config),
     ("table.txt", "verbs 2\npair 0 0\n", 2, DataError, load_table),
@@ -146,9 +153,13 @@ def test_cli_eval_malformed_table_line_exits_two(tmp_path, capsys, line):
      lambda p: load_checkpoint(p.with_suffix(""))),
     ("m.ckpt.manifest", "k = 1\n\nw 1 1 1 1 x\n", 3, ValueError,
      lambda p: load_checkpoint(p.with_suffix(""))),
-], ids=["config", "table", "data_manifest", "checkpoint_manifest", "checkpoint_offset"])
+    ("annos/test.txt", "a 0 0 0 0 4 4 5 5 9 9\n\na 0 0 0 0 4 4 5 5 9\n", 3, DataError,
+     _load_annotations),
+], ids=["config", "table", "data_manifest", "checkpoint_manifest", "checkpoint_offset",
+        "annotations"])
 def test_text_file_errors_name_the_file_and_line(tmp_path, name, text, bad_line, error, read):
     path = tmp_path / name
+    path.parent.mkdir(exist_ok=True)
     path.write_text(text)
     with pytest.raises(error, match=re.escape(f"{path} line {bad_line}: ")):
         read(path)
@@ -267,6 +278,23 @@ def test_tensor_to_rgb8_clips_and_scales():
     assert rgb[0, 1].tolist() == [0, 255, 64]
 
 
+@pytest.mark.parametrize("side", [3, 5])
+def test_tap_positions_are_grid_plus_offset_with_the_tap_weight(side):
+    taps = side * side
+    rng = np.random.default_rng(side)
+    offsets = rng.uniform(-2.0, 2.0, (1, 2 * taps, 5, 6)).astype(np.float32)
+    weights = rng.uniform(0.0, 1.0, (1, taps, 5, 6)).astype(np.float32)
+    field = ActPointField(Tensor.from_array(offsets), Tensor.from_array(weights))
+    px, py = 4, 2
+    drawn = _tap_positions(field, px, py)
+    assert len(drawn) == taps
+    for t, (x, y, w) in enumerate(drawn):
+        ky, kx = divmod(t, side)  # taps in row-major kernel order, centered on the pixel
+        assert x == px + kx - side // 2 + float(offsets[0, 2 * t, py, px])
+        assert y == py + ky - side // 2 + float(offsets[0, 2 * t + 1, py, px])
+        assert w == float(weights[0, t, py, px])
+
+
 def test_cli_infer_manifest_without_header_exits_two(corrupt_split, tmp_path, capsys):
     _, infer = corrupt_split
     assert infer() == 0
@@ -321,7 +349,7 @@ def test_cli_eval_bad_annotation_line_exits_two(eval_split, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(
-        f"error: {annos}: bad annotation line 'test_0000 x 0 1 2 3 4 5 6 7 8': ")
+        f"error: {annos} line 1: bad annotation line 'test_0000 x 0 1 2 3 4 5 6 7 8': ")
 
 
 @pytest.mark.parametrize("line, message", [

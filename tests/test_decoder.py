@@ -163,14 +163,14 @@ def test_decode_box_degenerate_and_clamped():
 
 # ===== full assembly =====
 
-def _outputs(interaction, offsets, det_center, det_wh, det_reg, groups):
+def _outputs(interaction, offsets, det_center, det_wh, det_reg):
     dummy = Tensor((1, 1, 1, 1), [0.0])
     return ForwardOutputs(
         backbone_feat=dummy, glance_feat=dummy, glance_heatmap=None,
         points_coarse=None, gaze1_feat=None, gaze1_heatmap=None,
         gaze2_context=None, points_final=None, gaze2_feat=None,
         gaze2_heatmap=_t(interaction), match_offsets=_t(offsets),
-        match_groups=groups, det_center=_t(det_center), det_wh=_t(det_wh),
+        det_center=_t(det_center), det_wh=_t(det_wh),
         det_reg=_t(det_reg))
 
 
@@ -198,7 +198,7 @@ def _scene():
 
 
 def test_assemble_triplets_end_to_end():
-    outs = _outputs(*_scene(), groups=2)
+    outs = _outputs(*_scene())
     trips = assemble_triplets(outs, stride=4)
     assert len(trips) == 2
     first, second = trips
@@ -213,7 +213,7 @@ def test_assemble_triplets_end_to_end():
 
 
 def test_assemble_triplets_table_filter_and_k():
-    outs = _outputs(*_scene(), groups=2)
+    outs = _outputs(*_scene())
     only_v1 = HoiCategoryTable(2, 2, frozenset({(1, 1)}), frozenset())
     trips = assemble_triplets(outs, stride=4, table=only_v1)
     assert [(t.verb, t.object_class) for t in trips] == [(1, 1)]
@@ -223,7 +223,7 @@ def test_assemble_triplets_table_filter_and_k():
 def test_assemble_triplets_without_humans_yields_nothing():
     inter, off, det, wh, reg = _scene()
     det[0, 0] = 0.0
-    outs = _outputs(inter, off, det, wh, reg, groups=2)
+    outs = _outputs(inter, off, det, wh, reg)
     assert assemble_triplets(outs, stride=4) == []
 
 
@@ -231,7 +231,7 @@ def test_assemble_triplets_single_group_offsets():
     inter, off, det, wh, reg = _scene()
     inter[0, 0, 6, 1] = 0.0  # keep only the verb-1 interaction
     off = off[:, 4:8] * 0 + off[:, 4:8]  # single group uses channels 0:4
-    outs = _outputs(inter, off, det, wh, reg, groups=1)
+    outs = _outputs(inter, off, det, wh, reg)
     trips = assemble_triplets(outs, stride=4)
     assert [(t.verb, t.object_class) for t in trips] == [(1, 1)]
 
@@ -239,7 +239,7 @@ def test_assemble_triplets_single_group_offsets():
 def test_assemble_triplets_returns_python_floats():
     # the verb-1 object box is clamped to the 8*4 image's right and bottom edge
     inter, off, det, wh, reg = _scene()
-    trips = assemble_triplets(_outputs(inter, off, det, wh, reg, groups=2), stride=4)
+    trips = assemble_triplets(_outputs(inter, off, det, wh, reg), stride=4)
     assert trips[0].object_box[2:] == (32.0, 32.0)
     for t in trips:
         assert all(type(v) is float for v in (*t.human_box, *t.object_box, t.score))
@@ -251,7 +251,7 @@ def test_assemble_triplets_returns_python_floats():
 
 
 def test_decoder_rejects_out_of_range_batch():
-    outs = _outputs(*_scene(), groups=2)
+    outs = _outputs(*_scene())
     for bad in (-1, 1):
         with pytest.raises(ShapeError, match=rf"batch index {bad} out of range \[0, 1\)"):
             select_candidates(outs.interaction_map, batch=bad)
@@ -276,7 +276,7 @@ def test_assemble_triplets_counts_each_dropped_peak_once():
         ((det, flat, nothing), (0, 1, 1)),
     ]
     for (centers, sizes, table), want in cases:
-        outs = _outputs(inter, off, centers, sizes, reg, groups=2)
+        outs = _outputs(inter, off, centers, sizes, reg)
         decoder.reset_drop_counts()
         trips = assemble_triplets(outs, stride=4, table=table)
         drops = tuple(decoder.drop_counts.get(r, 0) for r in DROP_REASONS)
@@ -318,7 +318,7 @@ def _forward_case(draw):
     wh_levels = [1.0, 2.0, 4.0, 50.0] + ([0.0, -1.0] if odd_sizes else [])
     wh = _maps(rng, (b, 2, h, w), wh_levels, 0.125, 6.0)
     reg = _maps(rng, (b, 2, h, w), [-0.5, 0.0, 0.5] + ([8.0] if far_centers else []), -1.0, 1.0)
-    outs = _outputs(inter, off, det, wh, reg, groups)
+    outs = _outputs(inter, off, det, wh, reg)
     pairs = [(v, o) for v in range(verbs) for o in range(objects)]
     meaningful = draw(st.one_of(st.none(), st.frozensets(st.sampled_from(pairs))))
     table = None if meaningful is None else HoiCategoryTable(

@@ -75,7 +75,6 @@ def test_average_precision_requires_both_boxes_above_threshold():
     shifted_o = (24.0, 0.0, 34.0, 10.0)  # object IoU 6/14 < 0.5, human exact
     dets = [("a", 1.0, H1, shifted_o)]
     assert average_precision(dets, gts) == 0.0
-    assert average_precision(dets, gts, iou_thresh=0.4) == pytest.approx(1.0)
 
 
 def test_average_precision_prefers_min_iou_quality_match():
@@ -131,6 +130,17 @@ def test_evaluate_dt_vs_ko_scoping():
     assert ko.full_map == pytest.approx((1.0 + 0.0) / 2)
     with pytest.raises(ValueError):
         evaluate(dets, gts, table, mode="both")
+
+
+def test_evaluate_detection_on_image_without_ground_truth_entry():
+    table = _table()
+    gts = {"a": [_anno(0, 0)]}
+    dets = {"a": [_trip(0, 0, 0.5)],
+            "z": [_trip(0, 0, 0.9)]}  # "z" has no entry in gts at all
+    dt = evaluate(dets, gts, table, mode="dt")
+    ko = evaluate(dets, gts, table, mode="ko")
+    assert dt.per_category[(0, 0)] == pytest.approx(0.5)  # counted as a false positive
+    assert ko.per_category[(0, 0)] == pytest.approx(1.0)  # out of scope, dropped
 
 
 def test_evaluate_rare_and_nonrare_means():

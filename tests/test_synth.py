@@ -231,7 +231,8 @@ def test_load_split_names_the_file_of_a_bad_annotation_line(tmp_path):
     out = _build(tmp_path, "d7")
     annos = out / "annos" / "test.txt"
     annos.write_text("test_0000 x 0 1 2 3 4 5 6 7 8\n" + annos.read_text())
-    with pytest.raises(DataError, match=re.escape(f"{annos}: bad annotation line 'test_0000 x 0 ")):
+    with pytest.raises(DataError,
+                       match=re.escape(f"{annos} line 1: bad annotation line 'test_0000 x 0 ")):
         load_split(out, "test", with_images=False)
 
 

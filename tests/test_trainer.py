@@ -197,7 +197,7 @@ def test_train_loop_artifacts_and_decay(tiny_data, tmp_path):
 
     table = build_table(SceneSpec(seed=5, image_size=48))
     test_samples = load_split(tiny_data, "test")
-    res = evaluate_model(model, test_samples, table, mode="dt", k=20)
+    res = evaluate_model(model, test_samples, table, k=20)
     assert res.mode == "dt" and res.full_map is not None
 
 
