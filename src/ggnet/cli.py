@@ -1,4 +1,4 @@
-"""Command-line surface: synth / train / infer / eval / gradcheck / visualize."""
+"""Command-line surface: synth / train / infer / eval / visualize."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from pathlib import Path
 from .configio import apply_kv, coerce_key, read_kv_file
 from .decoder import DROP_REASONS, drop_counts, load_triplets, reset_drop_counts, save_triplets
 from .evaluator import evaluate
-from .gradcheck import standard_checks
 from .losses import DataError, load_table
 from .model import GGNet
 from .synth import SceneSpec, check_finite, load_split, make_dataset
@@ -45,10 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--mode", default="dt", choices=["dt", "ko"])
     ep.add_argument("--split", default="test")
     ep.add_argument("--json", help="also write metrics JSON here")
-
-    gp = sub.add_parser("gradcheck", help="finite-difference gradient checks")
-    gp.add_argument("--op", help="check a single op by name")
-    gp.add_argument("--seeds", type=int, default=3)
 
     vp = sub.add_parser("visualize", help="overlay points/boxes on one image")
     vp.add_argument("--ckpt", required=True)
@@ -103,16 +98,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_gradcheck(args) -> int:
-    reports = standard_checks(op=args.op, seeds=range(args.seeds))
-    failed = 0
-    for r in reports:
-        print(r.line())
-        failed += 0 if r.passed else 1
-    print(f"{len(reports) - failed}/{len(reports)} checks passed")
-    return 1 if failed else 0
-
-
 def _cmd_visualize(args) -> int:
     model = GGNet.load(args.ckpt)
     pack = load_ggt(args.image).data
@@ -136,7 +121,6 @@ _COMMANDS = {
     "train": _cmd_train,
     "infer": _cmd_infer,
     "eval": _cmd_eval,
-    "gradcheck": _cmd_gradcheck,
     "visualize": _cmd_visualize,
 }
 

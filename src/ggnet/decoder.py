@@ -10,18 +10,15 @@ is array code over all peaks at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import Box, HoiCategoryTable
+from .losses import Box, HoiCategoryTable, check_box
 from .model import ForwardOutputs
 from .ops import check_index, maxpool_nms, topk
 from .tensor import Tensor
-
-
-class NoCandidateError(ValueError):
-    """Matching pool was empty; the triplet is dropped."""
 
 
 # Running tally of interaction peaks that assemble_triplets drops, each under
@@ -72,18 +69,6 @@ def _nearest(tx: np.ndarray, ty: np.ndarray, pool: np.ndarray, norm: str) -> np.
     else:
         raise ValueError(f"unknown norm {norm!r}")
     return np.argmin(dist / score, axis=1)
-
-
-def match_point(x: float, y: float, apm_offset: tuple[float, float], pool: np.ndarray,
-                norm: str = "l1") -> int:
-    """Index of the pool row minimizing distance-to-target over its own score,
-    where the target is (x, y) minus the predicted offset. Ties go to the
-    higher-scoring row, then to the earlier one in the given order."""
-    if len(pool) == 0:
-        raise NoCandidateError("no candidates to match against")
-    ranked = np.argsort(-pool[:, 0], kind="stable")
-    tx, ty = np.array([x - apm_offset[0]]), np.array([y - apm_offset[1]])
-    return int(ranked[_nearest(tx, ty, pool[ranked], norm)[0]])
 
 
 def _decode_boxes(x: np.ndarray, y: np.ndarray, wh: np.ndarray, reg: np.ndarray,
@@ -163,16 +148,25 @@ def format_triplet(image_id: str, t: HoiTriplet) -> str:
 
 
 def parse_triplet_line(line: str) -> tuple[str, HoiTriplet]:
+    """Read one ``format_triplet`` line. Ids must be nonnegative, the score
+    finite and both boxes pass ``check_box``; the decoder does not enforce
+    this on what it writes, so a diverged model's triplets can fail here."""
     parts = line.split()
     if len(parts) != 12:
         raise ValueError(f"triplet line needs 12 fields, got {len(parts)}: {line!r}")
     image_id = parts[0]
     try:
         verb, cls = int(parts[1]), int(parts[2])
-        vals = [float(v) for v in parts[3:]]
+        score, *vals = [float(v) for v in parts[3:]]
+        if verb < 0 or cls < 0:
+            raise ValueError(f"verb {verb} and object class {cls} must be nonnegative")
+        if not math.isfinite(score):
+            raise ValueError(f"score {score} is not finite")
+        check_box(tuple(vals[0:4]))
+        check_box(tuple(vals[4:8]))
     except ValueError as exc:
         raise ValueError(f"bad triplet line {line!r}: {exc}") from None
-    return image_id, HoiTriplet(tuple(vals[1:5]), tuple(vals[5:9]), verb, cls, vals[0])
+    return image_id, HoiTriplet(tuple(vals[0:4]), tuple(vals[4:8]), verb, cls, score)
 
 
 def save_triplets(path, per_image: dict) -> None:

@@ -30,6 +30,14 @@ def box_center(box: Box) -> tuple[float, float]:
     return (box[0] + box[2]) / 2.0, (box[1] + box[3]) / 2.0
 
 
+def check_box(box: Box) -> None:
+    """Reject a box unless its corners are finite with x2 > x1 and y2 > y1.
+    A NaN corner fails every comparison, so it is rejected too."""
+    x1, y1, x2, y2 = box
+    if not (-math.inf < x1 < x2 < math.inf and -math.inf < y1 < y2 < math.inf):
+        raise DataError(f"box {box} needs finite corners with x2 > x1 and y2 > y1")
+
+
 @dataclass(frozen=True)
 class HoiCategoryTable:
     """Verb/object vocabulary: which pairs occur at all, and which are rare."""
@@ -96,9 +104,11 @@ class HoiAnnotation:
     object_class: int
 
     def __post_init__(self):
-        for box in (self.human_box, self.object_box):
-            if box[2] <= box[0] or box[3] <= box[1]:
-                raise DataError(f"box {box} must have positive width/height")
+        check_box(self.human_box)
+        check_box(self.object_box)
+        if self.verb < 0 or self.object_class < 0:
+            raise DataError(f"verb {self.verb} and object class {self.object_class} "
+                            "must be nonnegative")
 
     def interaction_point(self, stride: int) -> tuple[float, float]:
         """Midpoint of the two box centers, on the stride-d feature map."""
@@ -120,9 +130,9 @@ def parse_annotation_line(line: str) -> tuple[str, HoiAnnotation]:
     try:
         verb, cls = int(parts[1]), int(parts[2])
         vals = [float(v) for v in parts[3:]]
+        return image_id, HoiAnnotation(tuple(vals[0:4]), tuple(vals[4:8]), verb, cls)
     except ValueError as exc:
         raise DataError(f"bad annotation line {line!r}: {exc}") from None
-    return image_id, HoiAnnotation(tuple(vals[0:4]), tuple(vals[4:8]), verb, cls)
 
 
 def parse_annotations(lines) -> dict:
@@ -238,14 +248,15 @@ def build_mask(annotations, table: HoiCategoryTable, shape, stride: int,
 
 # ===== Loss terms =====
 
-def hna_loss(pred: Tensor, mask: np.ndarray, num_points: int, beta: float = 7.0) -> Tensor:
+def hna_loss(pred: Tensor, mask: np.ndarray, num_points: int) -> Tensor:
     """Focal loss over a signed mask; hard negatives (M < 0) weighted (1-M)^beta.
 
     Per pixel: M = 1 -> (1-P)^alpha log P; M < 0 -> (1-M)^beta P^alpha log(1-P);
     otherwise (1-M)^gamma P^alpha log(1-P). Negated sum / max(num_points, 1).
-    alpha = 2 and gamma = 4 are CenterNet's focal exponents and are fixed.
+    alpha = 2 and gamma = 4 are CenterNet's focal exponents and beta = 7 the
+    hard-negative exponent; all three are fixed.
     """
-    alpha, gamma = 2.0, 4.0
+    alpha, gamma, beta = 2.0, 4.0, 7.0
     mask = np.asarray(mask, np.float64).reshape(pred.shape)
     p_raw = pred.data.astype(np.float64)
     if p_raw.min() < 0.0 or p_raw.max() > 1.0:
@@ -277,7 +288,7 @@ def centernet_focal(pred: Tensor, target: np.ndarray, num_points: int) -> Tensor
     target = np.asarray(target, np.float64)
     if target.min() < 0.0:
         raise ValueError("focal target must be nonnegative")
-    return hna_loss(pred, target, num_points, beta=0.0)
+    return hna_loss(pred, target, num_points)
 
 
 def matching_loss(offset_map: Tensor, annos_per_image, stride: int) -> Tensor:

@@ -22,10 +22,6 @@ from .tensor import ConfigError, ShapeError, Tensor, on_tape
 op_counts: dict[str, int] = {}
 
 
-def reset_op_counts() -> None:
-    op_counts.clear()
-
-
 def _count(name: str) -> None:
     op_counts[name] = op_counts.get(name, 0) + 1
 
@@ -196,22 +192,6 @@ def group_mean_channels(x: Tensor, groups: int) -> Tensor:
     return out
 
 
-def weighted_sum(x: Tensor, weights: np.ndarray | None = None) -> Tensor:
-    """Scalar projection sum(x * weights); weights default to ones."""
-    if weights is None:
-        w = None
-        val = x.data.sum(dtype=np.float64)
-    else:
-        w = np.asarray(weights, dtype=np.float64).reshape(x.shape)
-        val = float((x.data.astype(np.float64) * w).sum())
-    out = Tensor.from_scalar(val)
-    def backward(g):
-        g = float(g.reshape(-1)[0])
-        x.add_grad(np.full(x.shape, g, np.float64) if w is None else g * w)
-    on_tape(out, backward, x)
-    return out
-
-
 def combine_scalars(terms: list[tuple[float, Tensor]]) -> Tensor:
     """Weighted sum of scalar tensors: sum(coef_i * term_i)."""
     total = 0.0
@@ -294,17 +274,6 @@ def _interpolate(rec: _Sampling, planes: np.ndarray, mw) -> np.ndarray:
     for ch, plane in enumerate(planes):
         np.multiply(_blend(rec, np.take(plane, rec.idx)), mw, out=patches[:, ch])
     return patches.reshape(b, c * n, p)
-
-
-def bilinear_sample(featmap: Tensor, x: float, y: float, channel: int, batch: int = 0) -> float:
-    """Bilinear read of one channel at continuous (x, y); zero outside the map.
-    A one-point call of the sampler that ``deform_aggregate`` runs."""
-    b, c, h, w = featmap.shape
-    check_index("batch", batch, b)
-    check_index("channel", channel, c)
-    rec = _sampling(np.full((1, 1, 1), x, np.float64), np.full((1, 1, 1), y, np.float64), h, w)
-    planes = _planes(featmap.data[batch, channel][None, None])
-    return float(_interpolate(rec, planes, 1.0)[0, 0, 0])
 
 
 def tap_grid(k: int, stride: int, padding: int, ho: int, wo: int):

@@ -1,10 +1,9 @@
-"""Central finite-difference verification of every backward pass.
+"""Finite-difference verification of every backward pass.
 
 ``finite_diff_check`` runs a scalar-valued function once under a tape to
-collect analytic gradients, then probes sampled entries of each watched
-tensor with central differences. ``CHECKS`` holds one builder per
-differentiable op, and ``standard_checks`` runs them, so both the test suite
-and the ``gradcheck`` CLI subcommand drive the identical battery.
+collect analytic gradients, then probes each watched tensor with central
+differences. ``CHECKS`` pairs each differentiable op's name with the builder
+of its check, and ``run_check`` runs one builder for one seed.
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import losses, ops
-from .tensor import Tensor, tape
+from ggnet import losses, ops
+from ggnet.tensor import Tensor, on_tape, tape
 
 
 class GradCheckError(RuntimeError):
@@ -30,11 +29,6 @@ class GradCheckReport:
     max_abs_err: float
     entries_checked: int
     worst: str = ""
-
-    def line(self) -> str:
-        status = "ok" if self.passed else "FAIL"
-        return (f"{self.name:<28s} {status:<4s} entries={self.entries_checked:<4d} "
-                f"max_rel={self.max_rel_err:.3e} max_abs={self.max_abs_err:.3e} {self.worst}")
 
 
 def finite_diff_check(func, wrt, *, rng=None, name: str = "op") -> GradCheckReport:
@@ -107,22 +101,28 @@ def finite_diff_check(func, wrt, *, rng=None, name: str = "op") -> GradCheckRepo
     return GradCheckReport(name, passed, max_rel, max_abs, checked, worst)
 
 
+
+def weighted_sum(x: Tensor, weights: np.ndarray | None = None) -> Tensor:
+    """Scalar projection sum(x * weights); weights default to ones."""
+    if weights is None:
+        w = None
+        val = x.data.sum(dtype=np.float64)
+    else:
+        w = np.asarray(weights, dtype=np.float64).reshape(x.shape)
+        val = float((x.data.astype(np.float64) * w).sum())
+    out = Tensor.from_scalar(val)
+    def backward(g):
+        g = float(g.reshape(-1)[0])
+        x.add_grad(np.full(x.shape, g, np.float64) if w is None else g * w)
+    on_tape(out, backward, x)
+    return out
+
+
 # ===== Per-op check battery =====
 #
 # Each builder takes the check's rng, draws its inputs from it, and returns
 # (func, wrt) for finite_diff_check, which goes on drawing its probe
 # directions from the same rng.
-
-CHECKS: list = []
-
-
-def _check(op: str):
-    """Register the decorated ``build(rng) -> (func, wrt)`` as the check of ``op``."""
-    def register(build):
-        CHECKS.append((op, build))
-        return build
-    return register
-
 
 def _rand_t(rng, shape, lo=-1.0, hi=1.0) -> Tensor:
     return Tensor.from_array(rng.uniform(lo, hi, shape).astype(np.float32))
@@ -143,7 +143,7 @@ def _projected(rng, shape, op):
     The projection keeps per-entry grads from cancelling to ~0.
     """
     w = rng.uniform(0.5, 1.5, shape)
-    return lambda: ops.weighted_sum(op(), w)
+    return lambda: weighted_sum(op(), w)
 
 
 def _conv2d(rng, x_shape, w_shape, stride, out_shape):
@@ -154,57 +154,40 @@ def _conv2d(rng, x_shape, w_shape, stride, out_shape):
             [("input", x), ("weight", p.weight), ("bias", p.bias)])
 
 
-@_check("conv2d")
-def _(rng):
-    return _conv2d(rng, (2, 3, 6, 6), (4, 3, 3, 3), 1, (2, 4, 6, 6))
-
-
-@_check("conv2d_strided")
-def _(rng):
-    return _conv2d(rng, (1, 2, 7, 7), (3, 2, 3, 3), 2, (1, 3, 4, 4))
-
-
-@_check("relu")
-def _(rng):
+def _relu(rng):
     x = _rand_t(rng, (2, 3, 5, 5))
     # keep probes away from the kink at 0
     x.data[np.abs(x.data) < 0.02] += 0.05
     return _projected(rng, x.shape, lambda: ops.relu(x)), [("input", x)]
 
 
-@_check("sigmoid")
-def _(rng):
+def _sigmoid(rng):
     x = _rand_t(rng, (2, 2, 4, 4), -3, 3)
     return _projected(rng, x.shape, lambda: ops.sigmoid(x)), [("input", x)]
 
 
-@_check("add")
-def _(rng):
+def _add(rng):
     a, b = _rand_t(rng, (2, 4, 3, 3)), _rand_t(rng, (2, 4, 3, 3))
     return _projected(rng, a.shape, lambda: ops.add(a, b)), [("a", a), ("b", b)]
 
 
-@_check("slice_channels")
-def _(rng):
+def _slice_channels(rng):
     x = _rand_t(rng, (2, 6, 4, 4))
     return _projected(rng, (2, 3, 4, 4), lambda: ops.slice_channels(x, 1, 4)), [("input", x)]
 
 
-@_check("group_mean_channels")
-def _(rng):
+def _group_mean_channels(rng):
     x = _rand_t(rng, (2, 8, 3, 3))
     return _projected(rng, (2, 4, 3, 3), lambda: ops.group_mean_channels(x, 2)), [("input", x)]
 
 
-@_check("combine_scalars")
-def _(rng):
+def _combine_scalars(rng):
     a, b = _rand_t(rng, (1, 2, 3, 3)), _rand_t(rng, (1, 2, 3, 3))
-    func = lambda: ops.combine_scalars([(1.0, ops.weighted_sum(a)), (0.1, ops.weighted_sum(b))])
+    func = lambda: ops.combine_scalars([(1.0, weighted_sum(a)), (0.1, weighted_sum(b))])
     return func, [("a", a), ("b", b)]
 
 
-@_check("deform_aggregate")
-def _(rng):
+def _deform_aggregate(rng):
     n = 9  # a 3x3 kernel's taps
     fm = _rand_t(rng, (1, 2, 6, 6))
     p = ops.ConvParams(_rand_t(rng, (2, 2, 3, 3)), rng.uniform(-0.5, 0.5, 2), stride=1, padding=1)
@@ -217,8 +200,7 @@ def _(rng):
                   ("kernel", p.weight), ("bias", p.bias)]
 
 
-@_check("hna_loss")
-def _(rng):
+def _hna_loss(rng):
     pred = _rand_t(rng, (1, 2, 6, 6), 0.05, 0.95)
     mask = np.zeros((1, 2, 6, 6), np.float32)
     mask[0, 0, 2, 2] = 1.0
@@ -228,8 +210,7 @@ def _(rng):
     return lambda: losses.hna_loss(pred, mask, 1), [("pred", pred)]
 
 
-@_check("centernet_focal")
-def _(rng):
+def _centernet_focal(rng):
     pred = _rand_t(rng, (1, 2, 6, 6), 0.05, 0.95)
     target = np.zeros((1, 2, 6, 6), np.float32)
     target[0, 0, 3, 3] = 1.0
@@ -237,15 +218,13 @@ def _(rng):
     return lambda: losses.centernet_focal(pred, target, 1), [("pred", pred)]
 
 
-@_check("matching_loss")
-def _(rng):
+def _matching_loss(rng):
     pred = _off_eighths(_rand_t(rng, (1, 8, 8, 8)))
     annos = [[losses.HoiAnnotation((4.0, 4.0, 12.0, 12.0), (16.0, 8.0, 24.0, 16.0), 1, 0)]]
     return lambda: losses.matching_loss(pred, annos, stride=4), [("offsets", pred)]
 
 
-@_check("detection_losses")
-def _(rng):
+def _detection_losses(rng):
     table = losses.HoiCategoryTable(2, 2, frozenset({(0, 0), (1, 1)}), frozenset())
     center = _rand_t(rng, (1, 3, 8, 8), 0.05, 0.95)
     wh = _off_eighths(_rand_t(rng, (1, 2, 8, 8), 0.5, 3.0))
@@ -255,19 +234,25 @@ def _(rng):
     return func, [("center", center), ("wh", wh), ("reg", reg)]
 
 
-def standard_checks(op: str | None = None, seeds=range(3)) -> list[GradCheckReport]:
-    """Run the battery (or only ``op``'s check) once per seed, each on a fresh rng."""
-    selected = [(n, b) for n, b in CHECKS if op is None or n == op]
-    if not selected:
-        known = ", ".join(n for n, _ in CHECKS)
-        raise ValueError(f"unknown op {op!r}; known: {known}")
-    seeds = [int(s) for s in seeds]
-    if not seeds:
-        raise ValueError("no seeds given: the seed range is empty")
-    reports = []
-    for name, build in selected:
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
-            func, wrt = build(rng)
-            reports.append(finite_diff_check(func, wrt, rng=rng, name=f"{name}[seed={seed}]"))
-    return reports
+CHECKS = [
+    ("conv2d", lambda rng: _conv2d(rng, (2, 3, 6, 6), (4, 3, 3, 3), 1, (2, 4, 6, 6))),
+    ("conv2d_strided", lambda rng: _conv2d(rng, (1, 2, 7, 7), (3, 2, 3, 3), 2, (1, 3, 4, 4))),
+    ("relu", _relu),
+    ("sigmoid", _sigmoid),
+    ("add", _add),
+    ("slice_channels", _slice_channels),
+    ("group_mean_channels", _group_mean_channels),
+    ("combine_scalars", _combine_scalars),
+    ("deform_aggregate", _deform_aggregate),
+    ("hna_loss", _hna_loss),
+    ("centernet_focal", _centernet_focal),
+    ("matching_loss", _matching_loss),
+    ("detection_losses", _detection_losses),
+]
+
+
+def run_check(name: str, build, seed: int) -> GradCheckReport:
+    """Build one check on a fresh rng for ``seed`` and run it."""
+    rng = np.random.default_rng(seed)
+    func, wrt = build(rng)
+    return finite_diff_check(func, wrt, rng=rng, name=f"{name}[seed={seed}]")

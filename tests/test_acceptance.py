@@ -11,9 +11,7 @@ import numpy as np
 import pytest
 
 from ggnet import ops
-from ggnet.decoder import match_point
 from ggnet.evaluator import average_precision, evaluate
-from ggnet.gradcheck import standard_checks
 from ggnet.losses import (
     HoiAnnotation,
     HoiCategoryTable,
@@ -23,12 +21,14 @@ from ggnet.losses import (
     load_table,
 )
 from ggnet.model import GGNet, ModelConfig, forward_infer, forward_train
-from ggnet.ops import ConvParams, bilinear_sample, conv2d, conv_output_size, deform_aggregate, maxpool_nms, topk
+from ggnet.ops import ConvParams, conv2d, conv_output_size, deform_aggregate, maxpool_nms, topk
 from ggnet.synth import SceneSpec, load_split, make_dataset
 from ggnet.tensor import Tensor
 from ggnet.train import TrainConfig, evaluate_model, train
 from ggnet.decoder import HoiTriplet
 
+from gradcheck import CHECKS, run_check
+from helpers import bilinear_sample, match_point
 from oracles import (
     build_mask_ref,
     conv2d_ref,
@@ -131,7 +131,7 @@ def test_criterion_01_kernel_oracles(criterion_report):
 
 def test_criterion_02_gradient_suite(criterion_report):
     t0 = time.perf_counter()
-    reports = standard_checks(seeds=range(10))
+    reports = [run_check(name, build, seed) for name, build in CHECKS for seed in range(10)]
     elapsed = time.perf_counter() - t0
     failed = [r.name for r in reports if not r.passed]
     ops_covered = {r.name.split("[")[0] for r in reports}
@@ -323,11 +323,11 @@ def test_criterion_09_inference_graph_equivalence(criterion_report):
     x = Tensor.from_array(
         np.random.default_rng(9).uniform(0, 1, (2, 3, 32, 32)).astype(np.float32),
         requires_grad=False)
-    ops.reset_op_counts()
+    ops.op_counts.clear()
     full = forward_train(model, x)
     convs_train = ops.op_counts["conv2d"]
     deforms_train = ops.op_counts["deform_aggregate"]
-    ops.reset_op_counts()
+    ops.op_counts.clear()
     lean = forward_infer(model, x)
     convs_infer = ops.op_counts["conv2d"]
     deforms_infer = ops.op_counts["deform_aggregate"]

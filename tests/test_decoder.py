@@ -1,22 +1,21 @@
 """Peak selection, point matching, box decoding, triplet assembly."""
 
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ggnet import decoder
 from ggnet.decoder import (
     DROP_REASONS,
     HoiTriplet,
-    NoCandidateError,
     _decode_boxes,
     assemble_triplets,
     format_triplet,
     load_triplets,
-    match_point,
     parse_triplet_line,
     save_triplets,
     select_candidates,
@@ -25,6 +24,7 @@ from ggnet.losses import HoiCategoryTable
 from ggnet.model import ForwardOutputs
 from ggnet.tensor import ShapeError, Tensor
 
+from helpers import match_point, mutated_fields, valid_box
 from oracles import assemble_triplets_ref, match_point_ref
 
 
@@ -98,7 +98,7 @@ def test_match_point_frozen_case_distance_over_score():
 
 
 def test_match_point_empty_pool_raises():
-    with pytest.raises(NoCandidateError):
+    with pytest.raises(ValueError, match="no candidates"):
         match_point(1, 1, (0.0, 0.0), _rows())
 
 
@@ -365,3 +365,27 @@ def test_bad_triplet_number_names_the_line_and_file(tmp_path):
     path.write_text("img 1 1 0.5 0 0 1 1 2 2 3 3\n\n" + bad + "\n")
     with pytest.raises(ValueError, match=re.escape(f"{path} line 3: bad triplet line {bad!r}")):
         load_triplets(path)
+
+
+VALID_TRIPLET = "img 1 0 0.5 0.0 0.0 10.0 10.0 20.0 0.0 30.0 10.0"
+
+
+@pytest.fixture(scope="module")
+def triplet_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("trips") / "trips.txt"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_fields(VALID_TRIPLET.split()))
+@example("img 0 0 nan 0 0 10 10 20 0 30 10".split())
+@example("img 0 0 0.5 10 0 0 10 20 0 30 10".split())
+def test_triplet_reader_rejects_or_reads_a_valid_record(triplet_path, fields):
+    triplet_path.write_text(VALID_TRIPLET + "\n" + " ".join(fields) + "\n")
+    try:
+        dets = load_triplets(triplet_path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{triplet_path} line 2: ")
+        return
+    for t in dets[fields[0]]:
+        assert valid_box(t.human_box) and valid_box(t.object_box)
+        assert t.verb >= 0 and t.object_class >= 0 and math.isfinite(t.score)

@@ -3,36 +3,21 @@
 import numpy as np
 import pytest
 
-from ggnet import losses, model as mdl, ops
-from ggnet.gradcheck import (
-    CHECKS,
-    GradCheckError,
-    finite_diff_check,
-    standard_checks,
-)
+from ggnet import losses, model as mdl
 from ggnet.tensor import Tensor, on_tape, tape
 
-
-def test_every_op_passes_over_three_seeds():
-    reports = standard_checks(seeds=range(3))
-    failed = [r.line() for r in reports if not r.passed]
-    assert not failed, "\n".join(failed)
-    assert len(reports) == 3 * len(CHECKS)
+from gradcheck import CHECKS, GradCheckError, finite_diff_check, run_check, weighted_sum
 
 
-def test_single_op_selection_and_unknown_name():
-    reports = standard_checks(op="conv2d", seeds=range(2))
-    assert [r.name for r in reports] == ["conv2d[seed=0]", "conv2d[seed=1]"]
-    with pytest.raises(ValueError, match="unknown op"):
-        standard_checks(op="convolve9000")
-    for empty in (range(0), range(-3)):
-        with pytest.raises(ValueError, match="seed range is empty"):
-            standard_checks(op="conv2d", seeds=empty)
+@pytest.mark.parametrize("name, build", CHECKS, ids=[name for name, _ in CHECKS])
+def test_op_passes_over_three_seeds(name, build):
+    failed = [r for r in (run_check(name, build, seed) for seed in range(3)) if not r.passed]
+    assert not failed, "\n".join(f"{r.name}: {r.worst}" for r in failed)
 
 
 def test_check_battery_covers_all_differentiable_ops():
-    names = {n for n, _ in CHECKS}
-    assert names >= {
+    names = [n for n, _ in CHECKS]
+    assert len(names) == len(set(names)) and set(names) == {
         "conv2d", "conv2d_strided", "relu", "sigmoid", "add", "slice_channels",
         "group_mean_channels", "combine_scalars", "deform_aggregate",
         "hna_loss", "centernet_focal", "matching_loss", "detection_losses",
@@ -42,7 +27,7 @@ def test_check_battery_covers_all_differentiable_ops():
 def test_finite_diff_check_raises_on_nonfinite_forward():
     x = Tensor((1, 1, 1, 1), [float("nan")])
     with pytest.raises(GradCheckError, match="non-finite"):
-        finite_diff_check(lambda: ops.weighted_sum(x), [("x", x)], name="nan_case")
+        finite_diff_check(lambda: weighted_sum(x), [("x", x)], name="nan_case")
 
 
 def test_finite_diff_check_flags_wrong_backward():
@@ -58,13 +43,6 @@ def test_finite_diff_check_flags_wrong_backward():
     report = finite_diff_check(overclaiming_sum, [("x", x)], name="broken")
     assert not report.passed
     assert report.max_abs_err > 1.0
-
-
-def test_report_line_format():
-    r = standard_checks(op="relu", seeds=[0])[0]
-    line = r.line()
-    assert "relu[seed=0]" in line and ("ok" in line or "FAIL" in line)
-    assert "max_rel=" in line and "max_abs=" in line
 
 
 def test_total_loss_scales_detached_aux_gradient_by_lambda():

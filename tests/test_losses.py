@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ggnet.losses import (
@@ -27,8 +27,10 @@ from ggnet.losses import (
     splat_gaussian,
     total_loss,
 )
+from ggnet.synth import load_split
 from ggnet.tensor import ShapeError, Tensor, tape
 
+from helpers import mutated_fields, valid_box
 from oracles import build_mask_ref, gaussian_radius_ref, hna_loss_ref, iou_ref
 
 LN2 = math.log(2.0)
@@ -83,6 +85,35 @@ def test_parse_annotations_groups_by_image():
     grouped = parse_annotations(lines)
     assert list(grouped) == ["a", "b"]
     assert len(grouped["a"]) == 2 and grouped["a"][1].verb == 1
+
+
+@pytest.fixture(scope="module")
+def split_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("annos")
+    (root / "manifest.txt").write_text("test img\n")
+    (root / "annos").mkdir()
+    return root
+
+
+VALID_ANNOTATION = "img 1 0 0.0 0.0 10.0 10.0 20.0 0.0 30.0 10.0"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_fields(VALID_ANNOTATION.split()))
+@example("img 0 0 nan 0 10 10 20 0 30 10".split())
+@example("img 0 0 0 0 10 10 20 0 inf 10".split())
+@example("img -1 0 0 0 10 10 20 0 30 10".split())
+def test_annotation_reader_rejects_or_reads_a_valid_record(split_dir, fields):
+    path = split_dir / "annos" / "test.txt"
+    path.write_text(VALID_ANNOTATION + "\n" + " ".join(fields) + "\n")
+    try:
+        samples = load_split(split_dir, "test", with_images=False)
+    except DataError as exc:
+        assert str(exc).startswith(f"{path} line 2: ")
+        return
+    for a in samples[0].annotations:
+        assert valid_box(a.human_box) and valid_box(a.object_box)
+        assert a.verb >= 0 and a.object_class >= 0
 
 
 def test_table_validation_and_roundtrip(tmp_path):
@@ -331,16 +362,6 @@ def test_hna_loss_matches_elementwise_oracle(seed):
     assert got.scalar() == pytest.approx(want, abs=1e-6)
 
 
-def test_hna_loss_beta_raises_hard_negative_cost():
-    rng = np.random.default_rng(9)
-    pred = Tensor.from_array(rng.uniform(0.1, 0.9, (1, 2, 4, 4)).astype(np.float32))
-    mask = np.zeros((1, 2, 4, 4), np.float32)
-    mask[0, 0, 1, 1] = -0.6
-    lo = hna_loss(pred, mask, 1, beta=7.0).scalar()
-    hi = hna_loss(pred, mask, 1, beta=8.0).scalar()
-    assert hi > lo
-
-
 def test_hna_loss_guards_inputs():
     with pytest.raises(ValueError, match="probabilities"):
         hna_loss(Tensor((1, 1, 1, 1), [1.5]), np.zeros((1, 1, 1, 1)), 1)
@@ -370,7 +391,7 @@ def test_centernet_focal_equals_beta_zero_path():
     target[0, 0, 3, 3] = 1.0
     target[0, 1, 1, 4] = 0.4
     focal = centernet_focal(pred, target, 2)
-    via_hna = hna_loss(pred, target, 2, beta=0.0)
+    via_hna = hna_loss(pred, target, 2)
     assert focal.scalar() == via_hna.scalar()
     assert focal.scalar() == pytest.approx(0.5 * hna_loss_ref(pred.data, target, 1, beta=0.0), abs=1e-9)
     with pytest.raises(ValueError, match="nonnegative"):

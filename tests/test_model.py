@@ -184,10 +184,10 @@ def test_forward_infer_matches_train_bitwise_with_fewer_convs():
     rng = np.random.default_rng(6)
     images = _images(rng, batch=2)
 
-    ops.reset_op_counts()
+    ops.op_counts.clear()
     train_out = forward_train(net, images)
     train_counts = dict(ops.op_counts)
-    ops.reset_op_counts()
+    ops.op_counts.clear()
     infer_out = forward_infer(net, images)
     infer_counts = dict(ops.op_counts)
 

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from ggnet import ops
 from ggnet.tensor import ConfigError, ShapeError, Tensor, tape
 
+from gradcheck import weighted_sum
+from helpers import bilinear_sample
 from oracles import (
     bilinear_ref,
     conv2d_ref,
@@ -100,7 +102,7 @@ def test_conv2d_backward_accumulates_bias_and_weight():
     x = _t(rng, (1, 1, 4, 4))
     p = ops.ConvParams(_t(rng, (1, 1, 3, 3)), [0.0], padding=1)
     with tape() as tp:
-        out = ops.weighted_sum(ops.conv2d(x, p))
+        out = weighted_sum(ops.conv2d(x, p))
         tp.backward(out)
     # d(sum)/d(bias) counts every output pixel
     assert p.bias.grad.reshape(-1)[0] == pytest.approx(16.0)
@@ -115,7 +117,7 @@ def test_relu_values_and_grad():
     x = Tensor((1, 1, 1, 4), [-2.0, -0.5, 0.0, 3.0])
     with tape() as tp:
         y = ops.relu(x)
-        tp.backward(ops.weighted_sum(y))
+        tp.backward(weighted_sum(y))
     assert y.data.reshape(-1).tolist() == [0.0, 0.0, 0.0, 3.0]
     assert x.grad.reshape(-1).tolist() == [0.0, 0.0, 0.0, 1.0]
 
@@ -151,7 +153,7 @@ def test_slice_channels_backward_routes_to_source_range():
     x = Tensor.from_array(np.zeros((1, 4, 1, 1), np.float32))
     with tape() as tp:
         y = ops.slice_channels(x, 2, 4)
-        tp.backward(ops.weighted_sum(y, np.array([3.0, 5.0]).reshape(1, 2, 1, 1)))
+        tp.backward(weighted_sum(y, np.array([3.0, 5.0]).reshape(1, 2, 1, 1)))
     assert x.grad.reshape(-1).tolist() == [0.0, 0.0, 3.0, 5.0]
 
 
@@ -167,10 +169,10 @@ def test_group_mean_channels():
 
 def test_weighted_sum_and_combine_scalars_track_exact():
     x = Tensor((1, 1, 1, 2), [1.5, 2.5])
-    s = ops.weighted_sum(x, np.array([2.0, 4.0]).reshape(1, 1, 1, 2))
+    s = weighted_sum(x, np.array([2.0, 4.0]).reshape(1, 1, 1, 2))
     assert s.item() == pytest.approx(13.0)
     assert s.exact == 13.0
-    tot = ops.combine_scalars([(1.0, s), (0.5, ops.weighted_sum(x))])
+    tot = ops.combine_scalars([(1.0, s), (0.5, weighted_sum(x))])
     assert tot.scalar() == pytest.approx(15.0)
     with pytest.raises(ShapeError):
         ops.combine_scalars([(1.0, x)])
@@ -194,7 +196,7 @@ def test_bilinear_matches_oracle_on_random_points():
         x = float(rng.uniform(-2.0, 8.0))
         y = float(rng.uniform(-2.0, 7.0))
         ch = int(rng.integers(0, 2))
-        got = ops.bilinear_sample(fm, x, y, ch)
+        got = bilinear_sample(fm, x, y, ch)
         want = bilinear_ref(fm.data[0, ch], x, y)
         assert got == pytest.approx(want, abs=1e-6)
 
@@ -204,18 +206,18 @@ def test_bilinear_integer_coordinates_read_exact_pixel():
     fm = _t(rng, (1, 1, 5, 5))
     for y in range(5):
         for x in range(5):
-            assert ops.bilinear_sample(fm, float(x), float(y), 0) == float(fm.data[0, 0, y, x])
+            assert bilinear_sample(fm, float(x), float(y), 0) == float(fm.data[0, 0, y, x])
 
 
 def test_bilinear_zero_outside_map():
     fm = Tensor.from_array(np.ones((1, 1, 4, 4), np.float32))
-    assert ops.bilinear_sample(fm, -1.5, 2.0, 0) == 0.0
-    assert ops.bilinear_sample(fm, 2.0, 5.0, 0) == 0.0
+    assert bilinear_sample(fm, -1.5, 2.0, 0) == 0.0
+    assert bilinear_sample(fm, 2.0, 5.0, 0) == 0.0
     # half a pixel outside blends toward zero
-    assert ops.bilinear_sample(fm, -0.5, 2.0, 0) == pytest.approx(0.5)
+    assert bilinear_sample(fm, -0.5, 2.0, 0) == pytest.approx(0.5)
     # all four corners off a negative map: the zero is +0.0, as the oracle's
     neg = np.full((3, 3), -2.0, np.float32)
-    got = ops.bilinear_sample(Tensor.from_array(neg[None, None]), -10.0, -10.0, 0)
+    got = bilinear_sample(Tensor.from_array(neg[None, None]), -10.0, -10.0, 0)
     assert math.copysign(1.0, got) == math.copysign(1.0, bilinear_ref(neg, -10.0, -10.0)) == 1.0
 
 
@@ -258,7 +260,7 @@ def test_deform_aggregate_matches_oracle(seed, stride, field, k):
         off.data = off.data + np.where(off.data < 0, -20.0, 20.0).astype(np.float32)
     with tape() as tp:
         got = ops.deform_aggregate(fm, off, wts, p)
-        tp.backward(ops.weighted_sum(got, rng.uniform(-1, 1, got.shape)))
+        tp.backward(weighted_sum(got, rng.uniform(-1, 1, got.shape)))
     want = deform_aggregate_ref(fm.data, off.data, wts.data, p.weight.data,
                                 p.bias.data.reshape(-1), stride=stride, padding=k // 2)
     assert got.shape == want.shape
@@ -313,7 +315,7 @@ def test_deform_aggregate_matches_oracle_over_random_geometry(case):
                        stride=stride, padding=pad)
     with tape() as tp:
         got = ops.deform_aggregate(fm, off, wts, p)
-        tp.backward(ops.weighted_sum(got, rng.uniform(-1, 1, got.shape)))
+        tp.backward(weighted_sum(got, rng.uniform(-1, 1, got.shape)))
     want = deform_aggregate_ref(fm.data, off.data, wts.data, p.weight.data,
                                 p.bias.data.reshape(-1), stride=stride, padding=pad)
     assert got.shape == want.shape
@@ -344,7 +346,7 @@ def test_deform_aggregate_zero_offsets_unit_weights_is_conv2d():
         for t in (fm, p.weight, p.bias):
             t.zero_grad()
         with tape() as tp:
-            tp.backward(ops.weighted_sum(op(), proj))
+            tp.backward(weighted_sum(op(), proj))
         grads.append([t.grad.copy() for t in (fm, p.weight, p.bias)])
     for got, want in zip(*grads):
         assert np.array_equal(got, want)
@@ -374,7 +376,7 @@ def test_deform_aggregate_frozen_inputs_keep_the_other_grads():
         for t in inputs:
             t.zero_grad()
         with tape() as tp:
-            tp.backward(ops.weighted_sum(ops.deform_aggregate(fm, off, wts, p), proj))
+            tp.backward(weighted_sum(ops.deform_aggregate(fm, off, wts, p), proj))
         return [None if t.grad is None else t.grad.tobytes() for t in inputs]
 
     want = grads()
@@ -404,7 +406,7 @@ def test_deform_aggregate_memory_peak_is_a_few_patch_arrays():
         try:
             out = ops.deform_aggregate(fm, off, wts, p)
             forward = tracemalloc.get_traced_memory()[1]
-            head = ops.weighted_sum(out, proj)
+            head = weighted_sum(out, proj)
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]  # what the forward keeps
             tp.backward(head)
@@ -477,11 +479,11 @@ def test_sampler_and_topk_reject_out_of_range_indices():
             ({"channel": 0, "batch": -1}, "batch", -1, 2),
             ({"channel": 0, "batch": 2}, "batch", 2, 2)]:
         with pytest.raises(ShapeError, match=rf"{name} index {bad} out of range \[0, {size}\)"):
-            ops.bilinear_sample(fm, 0.5, 0.5, **kwargs)
+            bilinear_sample(fm, 0.5, 0.5, **kwargs)
     for bad in (-1, 2):
         with pytest.raises(ShapeError, match=rf"batch index {bad} out of range \[0, 2\)"):
             ops.topk(fm, 2, batch=bad)
-    assert ops.bilinear_sample(fm, 1.0, 1.0, channel=2, batch=1) == 23.0
+    assert bilinear_sample(fm, 1.0, 1.0, channel=2, batch=1) == 23.0
 
 
 def test_topk_clips_k_and_rejects_nonpositive():
@@ -492,7 +494,7 @@ def test_topk_clips_k_and_rejects_nonpositive():
 
 
 def test_op_counts_track_invocations():
-    ops.reset_op_counts()
+    ops.op_counts.clear()
     rng = np.random.default_rng(9)
     x = _t(rng, (1, 2, 5, 5))
     p = ops.ConvParams(_t(rng, (2, 2, 3, 3)), np.zeros(2), padding=1)
@@ -501,5 +503,5 @@ def test_op_counts_track_invocations():
     ops.relu(x)
     assert ops.op_counts["conv2d"] == 2
     assert ops.op_counts["relu"] == 1
-    ops.reset_op_counts()
+    ops.op_counts.clear()
     assert ops.op_counts.get("conv2d", 0) == 0
